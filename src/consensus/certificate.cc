@@ -63,6 +63,15 @@ Status Certificate::Verify(const KeyRegistry& registry, uint32_t quorum) const {
   return registry.VerifyQuorum(sigs_, DomainFor(kind_), digest, quorum);
 }
 
+Status Certificate::VerifyOnce(const KeyRegistry& registry, uint32_t quorum) const {
+  if (IsGenesis() || !shares_verified_.get()) {
+    Status st = Verify(registry, quorum);
+    if (st.ok()) shares_verified_.Set();
+    return st;
+  }
+  return KeyRegistry::CheckQuorumSize(sigs_.size(), quorum);
+}
+
 std::string Certificate::ToString() const {
   std::string out = "P[";
   out += CertKindName(kind_);

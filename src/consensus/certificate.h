@@ -13,6 +13,7 @@
 #ifndef HOTSTUFF1_CONSENSUS_CERTIFICATE_H_
 #define HOTSTUFF1_CONSENSUS_CERTIFICATE_H_
 
+#include <atomic>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,15 @@ class Certificate {
   /// over the reconstructed vote digest. Genesis verifies trivially.
   Status Verify(const KeyRegistry& registry, uint32_t quorum) const;
 
+  /// Verify() that checks the shares at most once per object. A message is
+  /// one immutable object shared by every recipient, so the first replica
+  /// to verify its certificate records "all shares distinct and valid" on
+  /// it and the rest skip the MACs. The quorum size is re-checked on every
+  /// call, since quorums differ across reconfiguration boundaries. Copies
+  /// start unverified: a certificate rebuilt elsewhere (say, by a Byzantine
+  /// replica) is a distinct object and is verified in full.
+  Status VerifyOnce(const KeyRegistry& registry, uint32_t quorum) const;
+
   /// Wire bytes: a 64-byte header (kind, block id, hashes, formed view) plus
   /// the authenticator section, whose size the scheme decides — the share
   /// vector is O(n), an aggregate is O(1) + bitmap, a threshold signature is
@@ -102,6 +112,25 @@ class Certificate {
   Hash256 block_hash_;
   uint64_t formed_view_ = 0;
   std::vector<Signature> sigs_;
+
+  /// The VerifyOnce verdict. Replicas running on different executor threads
+  /// may verify one shared message at once; they all store the same value,
+  /// so relaxed ordering suffices. Copying or assigning never carries it.
+  class SharesVerified {
+   public:
+    SharesVerified() = default;
+    SharesVerified(const SharesVerified&) {}
+    SharesVerified& operator=(const SharesVerified&) {
+      ok_.store(false, std::memory_order_relaxed);
+      return *this;
+    }
+    bool get() const { return ok_.load(std::memory_order_relaxed); }
+    void Set() const { ok_.store(true, std::memory_order_relaxed); }
+
+   private:
+    mutable std::atomic<bool> ok_{false};
+  };
+  SharesVerified shares_verified_;
 };
 
 /// \brief Accumulates vote shares until a quorum forms. One instance per

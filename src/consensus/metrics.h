@@ -31,7 +31,10 @@ struct ReplicaMetrics {
 /// produces at most a few million).
 class LatencyRecorder {
  public:
-  void Add(SimTime latency) { samples_.push_back(latency); }
+  void Add(SimTime latency) {
+    samples_.push_back(latency);
+    sorted_.clear();
+  }
 
   size_t count() const { return samples_.size(); }
 
@@ -42,14 +45,19 @@ class LatencyRecorder {
     return sum / static_cast<double>(samples_.size()) / kMillisecond;
   }
 
-  /// Exact quantile in milliseconds; q in [0, 1].
+  /// Exact quantile in milliseconds; q in [0, 1]. The first call after a
+  /// change sorts a copy of the samples; later calls reuse it. The copy is
+  /// a cache, so a recorder shared across threads must not be queried
+  /// concurrently.
   double PercentileMs(double q) const {
     if (samples_.empty()) return 0;
-    std::vector<SimTime> sorted = samples_;
-    std::sort(sorted.begin(), sorted.end());
-    const size_t idx = std::min(sorted.size() - 1,
-                                static_cast<size_t>(q * static_cast<double>(sorted.size())));
-    return ToMillis(sorted[idx]);
+    if (sorted_.empty()) {
+      sorted_ = samples_;
+      std::sort(sorted_.begin(), sorted_.end());
+    }
+    const size_t idx = std::min(sorted_.size() - 1,
+                                static_cast<size_t>(q * static_cast<double>(sorted_.size())));
+    return ToMillis(sorted_[idx]);
   }
 
   double MaxMs() const {
@@ -57,7 +65,10 @@ class LatencyRecorder {
     return ToMillis(*std::max_element(samples_.begin(), samples_.end()));
   }
 
-  void Clear() { samples_.clear(); }
+  void Clear() {
+    samples_.clear();
+    sorted_.clear();
+  }
 
   const std::vector<SimTime>& samples() const { return samples_; }
 
@@ -66,10 +77,12 @@ class LatencyRecorder {
   /// statistics like AvgMs to be executor-independent).
   void Append(const LatencyRecorder& other) {
     samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
+    sorted_.clear();
   }
 
  private:
   std::vector<SimTime> samples_;
+  mutable std::vector<SimTime> sorted_;  // sorted samples_, or empty if stale
 };
 
 }  // namespace hotstuff1

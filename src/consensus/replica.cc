@@ -199,7 +199,7 @@ bool ReplicaBase::CheckCert(const Certificate& cert) {
       cert.kind() == CertKind::kNewView
           ? (cert.formed_view() == 0 ? 0 : cert.formed_view() - 1)
           : cert.view();
-  const Status st = cert.Verify(*registry_, QuorumOf(quorum_view));
+  const Status st = cert.VerifyOnce(*registry_, QuorumOf(quorum_view));
   if (!st.ok()) {
     HS1_LOG_WARN() << "replica " << id_ << ": bad certificate " << cert.ToString()
                    << ": " << st;

@@ -86,7 +86,8 @@ class ReplicaBase {
                  const Hash256& block_hash, const Signature& sig);
   /// Verifies a certificate, charging CPU only the first time a given
   /// certificate content is seen (verification results are cached, as real
-  /// implementations do).
+  /// implementations do). On the host, the share MACs of one shared message
+  /// run once across all replicas (Certificate::VerifyOnce).
   bool CheckCert(const Certificate& cert);
 
   // --- clients ---------------------------------------------------------------

@@ -108,15 +108,17 @@ void Sha256::Update(const void* data, size_t len) {
 
 Hash256 Sha256::Finish() {
   const uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, then 64-bit big-endian bit length.
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  // Bypass total_len_ bookkeeping concerns: Update handles block boundary.
-  Update(len_be, 8);
+  // Padding: 0x80, zeros, then the 64-bit big-endian bit length in the last
+  // 8 bytes of a block — a second block when the 0x80 lands past byte 55.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) buffer_[56 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  ProcessBlock(buffer_);
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

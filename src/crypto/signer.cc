@@ -31,14 +31,16 @@ bool KeyRegistry::Verify(const Signature& sig, SignDomain domain,
   return ComputeMac(sig.signer, domain, digest) == sig.mac;
 }
 
+Status KeyRegistry::CheckQuorumSize(size_t shares, uint32_t quorum) {
+  if (shares >= quorum) return Status::OK();
+  return Status::Unauthenticated("quorum too small: have " + std::to_string(shares) +
+                                 ", need " + std::to_string(quorum));
+}
+
 Status KeyRegistry::VerifyQuorum(const std::vector<Signature>& sigs,
                                  SignDomain domain, const Hash256& digest,
                                  uint32_t quorum) const {
-  if (sigs.size() < quorum) {
-    return Status::Unauthenticated("quorum too small: have " +
-                                   std::to_string(sigs.size()) + ", need " +
-                                   std::to_string(quorum));
-  }
+  if (Status st = CheckQuorumSize(sigs.size(), quorum); !st.ok()) return st;
   std::unordered_set<ReplicaId> seen;
   seen.reserve(sigs.size());
   for (const Signature& sig : sigs) {

@@ -71,6 +71,9 @@ class KeyRegistry {
   Status VerifyQuorum(const std::vector<Signature>& sigs, SignDomain domain,
                       const Hash256& digest, uint32_t quorum) const;
 
+  /// The size half of VerifyQuorum: OK iff `shares` >= `quorum`.
+  static Status CheckQuorumSize(size_t shares, uint32_t quorum);
+
  private:
   friend class Signer;
   std::vector<Hash256> keys_;

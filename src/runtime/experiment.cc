@@ -385,9 +385,9 @@ void Experiment::Setup() {
 
   replicas_.reserve(n);
   for (ReplicaId id = 0; id < n; ++id) {
-    KvState state;  // lazy materialization: absent keys read as zero
-    state.Reserve(1 << 16);
-    replicas_.push_back(MakeReplica(id, cc, std::move(state)));
+    // Starts empty: absent keys read as zero, and the table grows with the
+    // keys the run actually writes.
+    replicas_.push_back(MakeReplica(id, cc, KvState()));
     replicas_.back()->SetOracle(oracle_.get());
     replicas_.back()->SetLivenessOracle(liveness_.get());
     const AdversarySpec spec = plan_.SpecFor(id);

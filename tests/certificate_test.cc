@@ -114,6 +114,60 @@ TEST_F(CertificateTest, UndersizedCertificateFails) {
   EXPECT_FALSE(small.Verify(registry_, kQuorum).ok());
 }
 
+// --- Shared verification verdict (VerifyOnce) ----------------------------------
+// A registry built from another seed rejects every share, so verifying
+// against it tells a memoized verdict (passes) from a full check (fails).
+
+TEST_F(CertificateTest, VerifyOnceMemoizesOnTheObjectOnly) {
+  const KeyRegistry other(kN, 43);
+  const Certificate cert = MakeCert(CertKind::kPrepare, 4, {4, 1}, Sha256::Digest("m"), 4);
+  EXPECT_FALSE(cert.VerifyOnce(other, kQuorum).ok());  // failures are not memoized
+  ASSERT_TRUE(cert.VerifyOnce(registry_, kQuorum).ok());
+  EXPECT_TRUE(cert.VerifyOnce(other, kQuorum).ok());  // memo hit: shares skipped
+  // A copy, a move and an assignment all start unverified.
+  Certificate copy = cert;
+  EXPECT_FALSE(copy.VerifyOnce(other, kQuorum).ok());
+  Certificate moved = Certificate(cert);
+  EXPECT_FALSE(moved.VerifyOnce(other, kQuorum).ok());
+  ASSERT_TRUE(copy.VerifyOnce(registry_, kQuorum).ok());
+  copy = MakeCert(CertKind::kPrepare, 5, {5, 1}, Sha256::Digest("m"), 5);
+  EXPECT_FALSE(copy.VerifyOnce(other, kQuorum).ok());
+}
+
+TEST_F(CertificateTest, VerifyOnceStillRejectsAForgedShareOnAnotherObject) {
+  const Hash256 h = Sha256::Digest("m");
+  const Certificate good = MakeCert(CertKind::kPrepare, 4, {4, 1}, h, 4);
+  ASSERT_TRUE(good.VerifyOnce(registry_, kQuorum).ok());
+  // Same content except one share, forged by a Byzantine replica.
+  std::vector<Signature> sigs = good.sigs();
+  sigs.back().mac = Sha256::Digest("forged");
+  const Certificate forged(CertKind::kPrepare, {4, 1}, h, 4, sigs);
+  EXPECT_FALSE(forged.VerifyOnce(registry_, kQuorum).ok());
+  EXPECT_FALSE(forged.VerifyOnce(registry_, kQuorum).ok());
+  EXPECT_TRUE(good.VerifyOnce(registry_, kQuorum).ok());
+}
+
+TEST_F(CertificateTest, VerifyOnceRechecksQuorumSize) {
+  const Certificate cert = MakeCert(CertKind::kPrepare, 4, {4, 1}, Sha256::Digest("m"), 4);
+  ASSERT_TRUE(cert.VerifyOnce(registry_, kQuorum).ok());
+  // A larger committee's quorum (after a reconfiguration) is not met.
+  const Status st = cert.VerifyOnce(registry_, kQuorum + 1);
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("quorum too small"), std::string::npos) << st;
+  EXPECT_TRUE(cert.VerifyOnce(registry_, kQuorum).ok());
+}
+
+TEST_F(CertificateTest, VerifyNeverShortCircuits) {
+  const KeyRegistry other(kN, 43);
+  const Certificate cert = MakeCert(CertKind::kPrepare, 4, {4, 1}, Sha256::Digest("m"), 4);
+  ASSERT_TRUE(cert.VerifyOnce(registry_, kQuorum).ok());
+  EXPECT_FALSE(cert.Verify(other, kQuorum).ok());
+  // Genesis carries no shares: it passes at any quorum, memoized or not.
+  const Certificate genesis = Certificate::Genesis();
+  EXPECT_TRUE(genesis.VerifyOnce(registry_, kQuorum).ok());
+  EXPECT_TRUE(genesis.VerifyOnce(registry_, kQuorum).ok());
+}
+
 TEST_F(CertificateTest, RankingIsLexicographic) {
   const Hash256 h = Sha256::Digest("b");
   const Certificate low = MakeCert(CertKind::kNewSlot, 2, {2, 4}, h, 2);

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/random.h"
+#include "consensus/metrics.h"
+
 #include "client/client_pool.h"
 #include "workload/ycsb.h"
 
@@ -188,6 +194,34 @@ TEST_F(ClientPoolTest, ResetStatsClearsWindow) {
   pool_->ResetStats();
   EXPECT_EQ(pool_->accepted(), 0u);
   EXPECT_EQ(pool_->latencies().count(), 0u);
+}
+
+// Percentiles come from a cached sorted copy; they must equal a fresh
+// copy-and-sort at every quantile, also after samples arrive later.
+TEST(LatencyRecorderTest, CachedPercentilesMatchCopyAndSort) {
+  Rng rng(7);
+  LatencyRecorder rec;
+  auto copy_sort = [&rec](double q) {
+    std::vector<SimTime> sorted = rec.samples();
+    std::sort(sorted.begin(), sorted.end());
+    const size_t idx = std::min(sorted.size() - 1,
+                                static_cast<size_t>(q * static_cast<double>(sorted.size())));
+    return ToMillis(sorted[idx]);
+  };
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 5000; ++i) rec.Add(static_cast<SimTime>(rng.NextBounded(1u << 24)));
+    for (const double q : {0.0, 0.5, 0.99, 0.999, 1.0}) {
+      EXPECT_EQ(rec.PercentileMs(q), copy_sort(q)) << "round " << round << " q " << q;
+    }
+    LatencyRecorder more;
+    more.Add(static_cast<SimTime>(1u << 25));  // a new maximum, appended
+    rec.Append(more);
+    EXPECT_EQ(rec.PercentileMs(1.0), copy_sort(1.0));
+  }
+  rec.Clear();
+  EXPECT_EQ(rec.PercentileMs(0.5), 0.0);
+  rec.Add(5 * kMillisecond);
+  EXPECT_EQ(rec.PercentileMs(0.5), 5.0);
 }
 
 }  // namespace

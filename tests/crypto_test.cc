@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
@@ -51,6 +52,29 @@ TEST(Sha256Test, ExactBlockBoundary) {
     split.Update(s.substr(0, len / 2));
     split.Update(s.substr(len / 2));
     EXPECT_EQ(one_shot.Finish().ToHex(), split.Finish().ToHex()) << len;
+  }
+}
+
+// Exact digests where the padding changes shape: at 55 bytes the 0x80 and
+// the length still fit the last block, 56..63 push the length into an extra
+// block, and 64, 65 and 119 sit on or just past whole blocks. Expected
+// values are reference SHA-256 outputs for bytes (31 i + 7) mod 256.
+TEST(Sha256Test, PaddingBoundaryDigests) {
+  const std::pair<size_t, const char*> kCases[] = {
+      {55, "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b"},
+      {56, "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63"},
+      {63, "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076"},
+      {64, "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd"},
+      {65, "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0"},
+      {119, "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe"},
+  };
+  for (const auto& [len, hex] : kCases) {
+    std::string msg(len, '\0');
+    for (size_t i = 0; i < len; ++i) msg[i] = static_cast<char>(i * 31 + 7);
+    EXPECT_EQ(Sha256::Digest(msg).ToHex(), hex) << "len " << len;
+    Sha256 pieces;  // the same message in uneven pieces
+    for (size_t i = 0; i < len; i += 13) pieces.Update(msg.substr(i, 13));
+    EXPECT_EQ(pieces.Finish().ToHex(), hex) << "len " << len << " in pieces";
   }
 }
 

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
+#include "common/random.h"
+
 #include "ledger/block.h"
 #include "ledger/block_store.h"
 #include "ledger/kv_state.h"
@@ -160,6 +165,115 @@ TEST(KvStateTest, FingerprintIsOrderInsensitive) {
   b.Put(2, 20);
   b.Put(1, 10);
   EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+}
+
+// Differential check of the flat table against std::unordered_map. The
+// reference keeps a snapshot per open undo log, so rollback is checked
+// against an independent model rather than against KvState's own undo.
+class KvStateDifferential {
+ public:
+  void Write(uint64_t key, uint64_t value, bool rmw) {
+    const TxnOp op{rmw ? TxnOp::Kind::kReadModifyWrite : TxnOp::Kind::kWrite, key, value};
+    const uint64_t got = kv_.ApplyOp(op, logs_.empty() ? nullptr : &logs_.back());
+    const uint64_t want = ref_[key] = rmw ? ref_[key] + value : value;
+    EXPECT_EQ(got, want) << "key " << key;
+    Check();
+  }
+  void Open() {
+    logs_.emplace_back();
+    snapshots_.push_back(ref_);
+  }
+  void Undo() {
+    kv_.Undo(logs_.back());
+    ref_ = snapshots_.back();
+    logs_.pop_back();
+    snapshots_.pop_back();
+    Check();
+  }
+  // Erases `key` through a one-entry undo log. Rollback erases only the
+  // newest insert (LIFO), which never needs a backward shift unless the
+  // table was rehashed since; this reaches any slot of any probe run.
+  void Erase(uint64_t key) {
+    ASSERT_FALSE(open());
+    kv_.Undo({KvState::UndoEntry{key, 0, false}});
+    ref_.erase(key);
+    Check();
+  }
+  bool open() const { return !logs_.empty(); }
+  size_t size() const { return ref_.size(); }
+
+  void Check() {
+    ASSERT_EQ(kv_.size(), ref_.size());
+    uint64_t fp = 0;
+    for (const auto& [k, v] : ref_) {
+      ASSERT_EQ(kv_.Get(k), v) << "key " << k;
+      ASSERT_TRUE(kv_.Contains(k)) << "key " << k;
+      fp ^= Mix(Mix(k) ^ v);
+    }
+    // The fingerprint formula replicas compare is unchanged.
+    ASSERT_EQ(kv_.Fingerprint(), fp);
+  }
+
+ private:
+  static uint64_t Mix(uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  KvState kv_;
+  std::vector<KvState::UndoLog> logs_;
+  std::unordered_map<uint64_t, uint64_t> ref_;
+  std::vector<std::unordered_map<uint64_t, uint64_t>> snapshots_;
+};
+
+TEST(KvStateTest, MatchesReferenceMapUnderRandomApplyAndUndo) {
+  constexpr uint64_t kSentinel = ~uint64_t{0};  // the table's empty-slot key
+  for (uint64_t episode = 0; episode < 120; ++episode) {
+    // Most episodes draw from 11 random keys, so each places a dense probe
+    // layout in one 16-slot table and erase chains wrap past its end; every
+    // fifth grows to ~400 keys, so tables double while undo logs are open.
+    Rng rng(episode);
+    const bool grow = episode % 5 == 0;
+    std::vector<uint64_t> pool;
+    for (uint64_t i = 0; i < (grow ? 400 : 11); ++i) pool.push_back(grow ? i : rng.NextU64());
+    KvStateDifferential d;
+    for (int step = 0; step < 800; ++step) {
+      const uint64_t roll = rng.NextBounded(100);
+      const uint64_t key = roll < 3 ? kSentinel : pool[rng.NextBounded(pool.size())];
+      if (roll < 55) {
+        d.Write(key, rng.NextU64(), roll % 2 == 1);
+      } else if (roll < 75) {
+        d.Open();
+      } else if (roll < 92) {
+        if (d.open()) {
+          d.Undo();
+        } else {
+          d.Erase(key);
+        }
+      } else {
+        while (d.open()) d.Undo();  // a rollback storm
+      }
+      if (HasFatalFailure()) return;
+    }
+    while (d.open()) d.Undo();
+  }
+}
+
+TEST(KvStateTest, SentinelKeyIsAnOrdinaryKey) {
+  constexpr uint64_t kSentinel = ~uint64_t{0};
+  KvState kv;
+  EXPECT_FALSE(kv.Contains(kSentinel));
+  EXPECT_EQ(kv.Get(kSentinel), 0u);
+  KvState::UndoLog undo;
+  kv.ApplyOp({TxnOp::Kind::kWrite, kSentinel, 9}, &undo);
+  kv.ApplyOp({TxnOp::Kind::kReadModifyWrite, kSentinel, 1}, &undo);
+  EXPECT_EQ(kv.Get(kSentinel), 10u);
+  EXPECT_EQ(kv.size(), 1u);
+  kv.Undo(undo);
+  EXPECT_FALSE(kv.Contains(kSentinel));
+  EXPECT_EQ(kv.size(), 0u);
+  EXPECT_EQ(kv.Fingerprint(), KvState().Fingerprint());
 }
 
 // --- Ledger ---------------------------------------------------------------------
