@@ -81,7 +81,7 @@ std::string FormatNs(double ns) {
 volatile uint64_t g_sink;
 template <typename T>
 void Sink(const T& v) {
-  g_sink += *reinterpret_cast<const unsigned char*>(&v);
+  g_sink = g_sink + *reinterpret_cast<const unsigned char*>(&v);
 }
 
 // Spec used purely for emission: one synthetic sweep point per operation,

@@ -1,5 +1,9 @@
-// Minimal levelled logging. Disabled levels cost one branch. Not thread-safe
-// by design: the simulator is single-threaded.
+// Minimal levelled logging. Disabled levels cost one branch. Messages may
+// come from executor threads (--sim-jobs > 1): each is formatted in its own
+// buffer and written with one << of the whole line to std::cerr (one write
+// to the stdio-synchronized stream), so lines from concurrent threads do not
+// interleave within a line; their order across threads is unspecified. The
+// level is a plain global: set it before a run starts.
 
 #ifndef HOTSTUFF1_COMMON_LOGGING_H_
 #define HOTSTUFF1_COMMON_LOGGING_H_

@@ -41,13 +41,27 @@ SignDomain DomainFor(CertKind kind) {
 
 }  // namespace
 
+Certificate::Certificate(CertKind kind, BlockId block_id, Hash256 block_hash,
+                         uint64_t formed_view, std::vector<Signature> sigs)
+    : kind_(kind),
+      block_id_(block_id),
+      block_hash_(block_hash),
+      formed_view_(formed_view),
+      sigs_(std::move(sigs)),
+      vote_digest_(VoteDigest(kind, kind == CertKind::kNewView ? formed_view : block_id.view,
+                              block_id, block_hash)) {}
+
+// Default certificates are placeholders in freshly built messages; they share
+// one digest instead of hashing per construction.
+Certificate::Certificate() {
+  static const Hash256 kDefaultDigest =
+      VoteDigest(kind_, block_id_.view, block_id_, block_hash_);
+  vote_digest_ = kDefaultDigest;
+}
+
 Certificate Certificate::Genesis() {
-  Certificate cert;
-  cert.kind_ = CertKind::kPrepare;
-  cert.block_id_ = BlockId{0, 0};
-  cert.block_hash_ = Block::Genesis()->hash();
-  cert.formed_view_ = 0;
-  return cert;
+  return Certificate(CertKind::kPrepare, BlockId{0, 0}, Block::Genesis()->hash(),
+                     /*formed_view=*/0, {});
 }
 
 Status Certificate::Verify(const KeyRegistry& registry, uint32_t quorum) const {
@@ -57,10 +71,7 @@ Status Certificate::Verify(const KeyRegistry& registry, uint32_t quorum) const {
     }
     return Status::OK();
   }
-  const uint64_t context_view =
-      kind_ == CertKind::kNewView ? formed_view_ : block_id_.view;
-  const Hash256 digest = VoteDigest(kind_, context_view, block_id_, block_hash_);
-  return registry.VerifyQuorum(sigs_, DomainFor(kind_), digest, quorum);
+  return registry.VerifyQuorum(sigs_, DomainFor(kind_), vote_digest_, quorum);
 }
 
 Status Certificate::VerifyOnce(const KeyRegistry& registry, uint32_t quorum) const {

@@ -13,12 +13,12 @@
 #ifndef HOTSTUFF1_CONSENSUS_CERTIFICATE_H_
 #define HOTSTUFF1_CONSENSUS_CERTIFICATE_H_
 
-#include <atomic>
 #include <string>
 #include <vector>
 
 #include "common/replica_set.h"
 #include "common/status.h"
+#include "common/verdict_memo.h"
 #include "crypto/authenticator.h"
 #include "crypto/signer.h"
 #include "ledger/block.h"
@@ -41,17 +41,14 @@ const char* CertKindName(CertKind kind);
 Hash256 VoteDigest(CertKind kind, uint64_t context_view, const BlockId& block_id,
                    const Hash256& block_hash);
 
-/// \brief Quorum certificate over one block.
+/// \brief Quorum certificate over one block. Immutable once built: the
+/// vote digest its shares sign is computed once, by the constructor, and
+/// always matches the fields.
 class Certificate {
  public:
-  Certificate() = default;
+  Certificate();
   Certificate(CertKind kind, BlockId block_id, Hash256 block_hash,
-              uint64_t formed_view, std::vector<Signature> sigs)
-      : kind_(kind),
-        block_id_(block_id),
-        block_hash_(block_hash),
-        formed_view_(formed_view),
-        sigs_(std::move(sigs)) {}
+              uint64_t formed_view, std::vector<Signature> sigs);
 
   /// The hard-coded certificate for the genesis block that every replica
   /// assumes valid (§4.1).
@@ -68,6 +65,11 @@ class Certificate {
   /// certificates (the `fv` annotation of §6.1).
   uint64_t formed_view() const { return formed_view_; }
   const std::vector<Signature>& sigs() const { return sigs_; }
+  /// VoteDigest(kind, context view, block id, block hash) — what every
+  /// share signs. The context view is formed_view() for NewView
+  /// certificates and view() otherwise. Also the certificate's identity in
+  /// a replica's verified-certificate cache.
+  const Hash256& vote_digest() const { return vote_digest_; }
 
   bool IsGenesis() const { return block_id_ == BlockId{0, 0} && sigs_.empty(); }
 
@@ -81,16 +83,17 @@ class Certificate {
   }
 
   /// Full verification: quorum size, signer distinctness, signature validity
-  /// over the reconstructed vote digest. Genesis verifies trivially.
+  /// over vote_digest(). Genesis verifies trivially.
   Status Verify(const KeyRegistry& registry, uint32_t quorum) const;
 
-  /// Verify() that checks the shares at most once per object. A message is
-  /// one immutable object shared by every recipient, so the first replica
-  /// to verify its certificate records "all shares distinct and valid" on
-  /// it and the rest skip the MACs. The quorum size is re-checked on every
-  /// call, since quorums differ across reconfiguration boundaries. Copies
-  /// start unverified: a certificate rebuilt elsewhere (say, by a Byzantine
-  /// replica) is a distinct object and is verified in full.
+  /// Verify() that checks the shares at most once per object (a
+  /// VerdictMemo). A message is one immutable object shared by every
+  /// recipient, so the first replica to verify its certificate records "all
+  /// shares distinct and valid" on it and the rest skip the MACs. The quorum
+  /// size is re-checked on every call, since quorums differ across
+  /// reconfiguration boundaries. Copies start unverified: a certificate
+  /// rebuilt elsewhere (say, by a Byzantine replica) is a distinct object
+  /// and is verified in full.
   Status VerifyOnce(const KeyRegistry& registry, uint32_t quorum) const;
 
   /// Wire bytes: a 64-byte header (kind, block id, hashes, formed view) plus
@@ -112,25 +115,10 @@ class Certificate {
   Hash256 block_hash_;
   uint64_t formed_view_ = 0;
   std::vector<Signature> sigs_;
+  Hash256 vote_digest_;
 
-  /// The VerifyOnce verdict. Replicas running on different executor threads
-  /// may verify one shared message at once; they all store the same value,
-  /// so relaxed ordering suffices. Copying or assigning never carries it.
-  class SharesVerified {
-   public:
-    SharesVerified() = default;
-    SharesVerified(const SharesVerified&) {}
-    SharesVerified& operator=(const SharesVerified&) {
-      ok_.store(false, std::memory_order_relaxed);
-      return *this;
-    }
-    bool get() const { return ok_.load(std::memory_order_relaxed); }
-    void Set() const { ok_.store(true, std::memory_order_relaxed); }
-
-   private:
-    mutable std::atomic<bool> ok_{false};
-  };
-  SharesVerified shares_verified_;
+  /// The VerifyOnce verdict; copying or assigning never carries it.
+  VerdictMemo shares_verified_;
 };
 
 /// \brief Accumulates vote shares until a quorum forms. One instance per

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/verdict_memo.h"
 #include "consensus/certificate.h"
 #include "ledger/block.h"
 #include "sim/network.h"
@@ -135,23 +136,30 @@ struct RejectMsg : public ConsensusMessage {
   size_t WireSize() const override { return 64 + high_cert.WireSize(auth); }
 };
 
-/// Pacemaker Wish (Fig. 3 line 10).
+/// Pacemaker Wish (Fig. 3 line 10). One object goes to all f+1
+/// aggregators.
 struct WishMsg : public ConsensusMessage {
   WishMsg(ReplicaId s) : ConsensusMessage(Type::kWish, s) {}
 
   uint64_t view = 0;
   Signature share;
+  /// Set by the first aggregator whose check of `share` passes.
+  VerdictMemo share_verified;
 
   // 16 fixed (view) + one share. Vector scheme: the historical 112.
   size_t WireSize() const override { return 16 + auth.ShareBytes(); }
 };
 
-/// Pacemaker timeout certificate TC_v (Fig. 3 lines 12-15).
+/// Pacemaker timeout certificate TC_v (Fig. 3 lines 12-15). One object is
+/// broadcast to every replica.
 struct TimeoutCertMsg : public ConsensusMessage {
   TimeoutCertMsg(ReplicaId s) : ConsensusMessage(Type::kTimeoutCert, s) {}
 
   uint64_t view = 0;
   std::vector<Signature> sigs;
+  /// Set by the first recipient whose full check of `sigs` (distinct signers,
+  /// every share valid) passes; the quorum size is re-checked regardless.
+  VerdictMemo shares_verified;
 
   // A TC is a quorum certificate over (view, ⊥): same authenticator shapes
   // as a block certificate. Vector scheme: the historical 48 + |sigs|*96.

@@ -82,9 +82,12 @@ void Pacemaker::SynchronizeEpoch(uint64_t view) {
 }
 
 void Pacemaker::OnWish(const WishMsg& msg) {
-  if (!registry_->Verify(msg.share, SignDomain::kWish, WishDigest(msg.view))) {
-    HS1_LOG_WARN() << "pacemaker: invalid wish share from " << msg.sender;
-    return;
+  if (!msg.share_verified.get()) {
+    if (!registry_->Verify(msg.share, SignDomain::kWish, WishDigest(msg.view))) {
+      HS1_LOG_WARN() << "pacemaker: invalid wish share from " << msg.sender;
+      return;
+    }
+    msg.share_verified.Set();
   }
   // Only the boundary committee's shares count toward the TC quorum: a
   // voted-out (or never-admitted) replica must not be able to help certify
@@ -106,9 +109,12 @@ void Pacemaker::OnWish(const WishMsg& msg) {
 
 void Pacemaker::OnTimeoutCert(const TimeoutCertMsg& msg) {
   if (tc_handled_.count(msg.view)) return;
-  const Status st = registry_->VerifyQuorum(msg.sigs, SignDomain::kWish,
-                                            WishDigest(msg.view),
-                                            WishQuorum(msg.view));
+  const uint32_t quorum = WishQuorum(msg.view);
+  Status st = KeyRegistry::CheckQuorumSize(msg.sigs.size(), quorum);
+  if (st.ok() && !msg.shares_verified.get()) {
+    st = registry_->VerifyQuorum(msg.sigs, SignDomain::kWish, WishDigest(msg.view), quorum);
+    if (st.ok()) msg.shares_verified.Set();
+  }
   if (!st.ok()) {
     HS1_LOG_WARN() << "pacemaker: bad TC for view " << msg.view << ": " << st;
     return;

@@ -50,6 +50,8 @@ class Pacemaker {
   /// `next_view` (Fig. 3, CompletedView).
   void CompletedView(uint64_t next_view);
 
+  /// Both handlers check a shared message's shares once across all
+  /// recipients and record the verdict on it (see VerdictMemo).
   void OnWish(const WishMsg& msg);
   void OnTimeoutCert(const TimeoutCertMsg& msg);
 

@@ -184,17 +184,13 @@ bool ReplicaBase::CheckVote(CertKind kind, uint64_t context_view,
 
 bool ReplicaBase::CheckCert(const Certificate& cert) {
   if (cert.IsGenesis()) return true;
-  const uint64_t context_view =
-      cert.kind() == CertKind::kNewView ? cert.formed_view() : cert.view();
-  const Hash256 key =
-      VoteDigest(cert.kind(), context_view, cert.block_id(), cert.block_hash());
-  if (verified_certs_.count(key)) return true;
+  if (verified_certs_.count(cert.vote_digest())) return true;
   ChargeCpu(config_.costs.verify_us * static_cast<SimTime>(cert.sigs().size()));
   // Quorum arithmetic follows the committee of the view the shares were cast
-  // in. NewView shares sign the view being *entered* (the digest context
-  // above) but are cast by the previous view's committee — at a growth
-  // boundary the new, larger quorum must not reject a certificate the old
-  // committee legitimately formed.
+  // in. NewView shares sign the view being *entered* (the context view of
+  // cert.vote_digest()) but are cast by the previous view's committee — at
+  // a growth boundary the new, larger quorum must not reject a certificate
+  // the old committee legitimately formed.
   const uint64_t quorum_view =
       cert.kind() == CertKind::kNewView
           ? (cert.formed_view() == 0 ? 0 : cert.formed_view() - 1)
@@ -205,7 +201,7 @@ bool ReplicaBase::CheckCert(const Certificate& cert) {
                    << ": " << st;
     return false;
   }
-  verified_certs_.insert(key);
+  verified_certs_.insert(cert.vote_digest());
   return true;
 }
 

@@ -46,7 +46,8 @@ struct Hash256Hasher {
   size_t operator()(const Hash256& h) const { return static_cast<size_t>(h.Prefix64()); }
 };
 
-/// \brief Incremental SHA-256 context.
+/// \brief Incremental SHA-256 context. The block compression runs on the
+/// CPU's SHA extensions when it has them (see sha256_internal.h).
 class Sha256 {
  public:
   Sha256() { Reset(); }
@@ -72,8 +73,6 @@ class Sha256 {
   static Hash256 Digest(const Bytes& b) { return Digest(b.data(), b.size()); }
 
  private:
-  void ProcessBlock(const uint8_t block[64]);
-
   uint32_t h_[8];
   uint64_t total_len_ = 0;
   uint8_t buffer_[64];

@@ -1,10 +1,12 @@
 #include "crypto/signer.h"
 
-#include <unordered_set>
+#include "common/logging.h"
+#include "common/replica_set.h"
 
 namespace hotstuff1 {
 
 KeyRegistry::KeyRegistry(uint32_t n, uint64_t seed) {
+  HS1_CHECK_LE(n, ReplicaSet::kCapacity) << "VerifyQuorum tracks signers in a ReplicaSet";
   keys_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     Sha256 ctx;
@@ -41,16 +43,18 @@ Status KeyRegistry::VerifyQuorum(const std::vector<Signature>& sigs,
                                  SignDomain domain, const Hash256& digest,
                                  uint32_t quorum) const {
   if (Status st = CheckQuorumSize(sigs.size(), quorum); !st.ok()) return st;
-  std::unordered_set<ReplicaId> seen;
-  seen.reserve(sigs.size());
+  ReplicaSet seen;
   for (const Signature& sig : sigs) {
-    if (!seen.insert(sig.signer).second) {
+    // Range-check before the bitmap sees the id: an unknown signer fails
+    // Verify as an invalid signature and never reaches Set.
+    if (sig.signer < keys_.size() && seen.Test(sig.signer)) {
       return Status::Unauthenticated("duplicate signer " + std::to_string(sig.signer));
     }
     if (!Verify(sig, domain, digest)) {
       return Status::Unauthenticated("invalid signature from replica " +
                                      std::to_string(sig.signer));
     }
+    seen.Set(sig.signer);
   }
   return Status::OK();
 }

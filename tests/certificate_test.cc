@@ -42,6 +42,34 @@ TEST_F(CertificateTest, VoteDigestSeparatesEverything) {
   EXPECT_NE(base, VoteDigest(CertKind::kPrepare, 5, {5, 1}, Sha256::Digest("x")));
 }
 
+// The digest a certificate carries is the one its shares sign: for every
+// kind, and for a NewView certificate whose formed view differs from the
+// block's view; copies keep it.
+TEST_F(CertificateTest, CarriedVoteDigestMatchesVoteDigest) {
+  const Hash256 h = Sha256::Digest("block");
+  const BlockId id{6, 2};
+  for (CertKind kind : {CertKind::kPrepare, CertKind::kCommit, CertKind::kNewSlot}) {
+    const Certificate cert = MakeCert(kind, 6, id, h, 6);
+    EXPECT_EQ(cert.vote_digest(), VoteDigest(kind, 6, id, h)) << CertKindName(kind);
+    EXPECT_TRUE(cert.Verify(registry_, kQuorum).ok()) << CertKindName(kind);
+  }
+  const Certificate nv = MakeCert(CertKind::kNewView, 9, id, h, 9);
+  EXPECT_EQ(nv.vote_digest(), VoteDigest(CertKind::kNewView, 9, id, h));
+  EXPECT_NE(nv.vote_digest(), VoteDigest(CertKind::kNewView, 6, id, h));
+  EXPECT_TRUE(nv.Verify(registry_, kQuorum).ok());
+  Certificate copy = nv;
+  EXPECT_EQ(copy.vote_digest(), nv.vote_digest());
+  const Certificate moved = std::move(copy);
+  EXPECT_EQ(moved.vote_digest(), nv.vote_digest());
+  copy = MakeCert(CertKind::kPrepare, 6, id, h, 6);
+  EXPECT_EQ(copy.vote_digest(), VoteDigest(CertKind::kPrepare, 6, id, h));
+
+  const Certificate genesis = Certificate::Genesis();
+  EXPECT_EQ(genesis.vote_digest(),
+            VoteDigest(CertKind::kPrepare, 0, {0, 0}, Block::Genesis()->hash()));
+  EXPECT_EQ(Certificate().vote_digest(), VoteDigest(CertKind::kPrepare, 0, {0, 0}, Hash256{}));
+}
+
 TEST_F(CertificateTest, GenesisVerifiesTrivially) {
   const Certificate g = Certificate::Genesis();
   EXPECT_TRUE(g.IsGenesis());

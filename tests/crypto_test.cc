@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/replica_set.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 #include "crypto/signer.h"
 
 namespace hotstuff1 {
@@ -159,6 +166,73 @@ TEST(SignerTest, ForgedSignerIdRejected) {
   EXPECT_FALSE(registry.Verify(sig, SignDomain::kWish, digest));
 }
 
+// --- Compression dispatch: SHA-NI vs the portable reference -------------------
+
+TEST(Sha256CompressTest, ShaNiMatchesPortableOnRandomStatesAndBlocks) {
+  ::testing::Test::RecordProperty("sha256_compress", sha256_internal::ActiveCompressName());
+#if HS1_SHA256_SHANI_COMPILED
+  if (!sha256_internal::CpuHasShaNi()) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  std::mt19937_64 rng(0x5a256);
+  for (int iter = 0; iter < 20000; ++iter) {
+    uint32_t portable[8];
+    uint8_t block[64];
+    for (uint32_t& w : portable) w = static_cast<uint32_t>(rng());
+    for (uint8_t& b : block) b = static_cast<uint8_t>(rng());
+    uint32_t shani[8];
+    std::memcpy(shani, portable, sizeof(shani));
+    sha256_internal::CompressPortable(portable, block);
+    sha256_internal::CompressShaNi(shani, block);
+    ASSERT_EQ(0, std::memcmp(portable, shani, sizeof(shani))) << "iteration " << iter;
+  }
+#else
+  GTEST_SKIP() << "SHA-NI path not compiled on this architecture";
+#endif
+}
+
+// Whole-message digest through the active compression function (and
+// Sha256's buffering), against a padding-and-compress reference built on
+// the portable function alone.
+Hash256 PortableReferenceDigest(const std::vector<uint8_t>& msg) {
+  std::vector<uint8_t> padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = static_cast<uint64_t>(msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) padded.push_back(static_cast<uint8_t>(bits >> (8 * i)));
+  uint32_t state[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+  for (size_t off = 0; off < padded.size(); off += 64) {
+    sha256_internal::CompressPortable(state, padded.data() + off);
+  }
+  Hash256 out;
+  for (int i = 0; i < 32; ++i) {
+    out.bytes[i] = static_cast<uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+  }
+  return out;
+}
+
+TEST(Sha256CompressTest, DigestMatchesPortableReferenceOverRandomSplits) {
+  ::testing::Test::RecordProperty("sha256_compress", sha256_internal::ActiveCompressName());
+  std::mt19937_64 rng(1024);
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<uint8_t> msg(rng() % 1025);
+    for (uint8_t& b : msg) b = static_cast<uint8_t>(rng());
+    Sha256 ctx;
+    size_t off = 0;
+    while (off < msg.size()) {
+      const size_t take = std::min<size_t>(msg.size() - off, rng() % 130);
+      ctx.Update(msg.data() + off, take);
+      off += take;
+    }
+    ASSERT_EQ(ctx.Finish(), PortableReferenceDigest(msg)) << "length " << msg.size();
+    ASSERT_EQ(Sha256::Digest(msg.data(), msg.size()), PortableReferenceDigest(msg));
+  }
+}
+
+TEST(Sha256CompressTest, ActivePathFollowsCpuid) {
+  EXPECT_STREQ(sha256_internal::ActiveCompressName(),
+               sha256_internal::CpuHasShaNi() ? "sha-ni" : "portable");
+}
+
 TEST(SignerTest, KeysDifferAcrossReplicasAndSeeds) {
   KeyRegistry r1(2, 1), r2(2, 2);
   const Hash256 digest = Sha256::Digest("m");
@@ -195,6 +269,38 @@ TEST(SignerTest, QuorumVerification) {
   bad[1].mac.bytes[0] ^= 0xff;
   EXPECT_TRUE(registry.VerifyQuorum(bad, SignDomain::kProposeVote, digest, quorum)
                   .IsUnauthenticated());
+}
+
+// Signer ids past the committee, and past the signer bitmap's capacity, are
+// invalid signatures, rejected before the bitmap is touched (an id past its
+// capacity would trip ReplicaSet's range check and abort); duplicates are
+// still caught.
+TEST(SignerTest, QuorumRejectsUnknownAndDuplicateSigners) {
+  const uint32_t n = 7, quorum = 5;
+  KeyRegistry registry(n, 3);
+  const Hash256 digest = Sha256::Digest("block");
+  std::vector<Signature> sigs;
+  for (uint32_t i = 0; i < quorum; ++i) {
+    sigs.push_back(Signer(&registry, i).Sign(SignDomain::kProposeVote, digest));
+  }
+  for (uint32_t id : {n, ReplicaSet::kCapacity, 1000u, std::numeric_limits<uint32_t>::max()}) {
+    for (size_t pos : {size_t{0}, sigs.size() - 1}) {
+      std::vector<Signature> bad = sigs;
+      bad[pos].signer = id;
+      const Status st = registry.VerifyQuorum(bad, SignDomain::kProposeVote, digest, quorum);
+      EXPECT_TRUE(st.IsUnauthenticated()) << id;
+      EXPECT_EQ(st.message(), "invalid signature from replica " + std::to_string(id));
+    }
+    std::vector<Signature> twice = sigs;
+    twice[0].signer = id;
+    twice[1].signer = id;
+    EXPECT_TRUE(registry.VerifyQuorum(twice, SignDomain::kProposeVote, digest, quorum)
+                    .IsUnauthenticated());
+  }
+  std::vector<Signature> dup = sigs;
+  dup.push_back(sigs[2]);
+  const Status st = registry.VerifyQuorum(dup, SignDomain::kProposeVote, digest, quorum);
+  EXPECT_EQ(st.message(), "duplicate signer 2");
 }
 
 }  // namespace

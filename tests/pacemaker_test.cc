@@ -80,6 +80,115 @@ class PacemakerHarness {
   std::vector<std::vector<uint64_t>> timeouts_;
 };
 
+// --- Shared Wish/TC verdicts -----------------------------------------------------
+// One pacemaker driven by hand: Wish shares and TCs are handed to it directly
+// and its TC broadcasts / epoch syncs are counted. A pacemaker over a registry
+// from another seed rejects every share, so it tells a memoized verdict
+// (passes) from a full check (fails).
+class PacemakerVerdictTest : public ::testing::Test {
+ protected:
+  static constexpr uint32_t kF = 1;
+  static constexpr uint64_t kView = 2;  // an epoch boundary (f + 1 = 2)
+
+  PacemakerVerdictTest() : registry_(5, 9), other_(5, 10) {}
+
+  std::unique_ptr<Pacemaker> Make(const KeyRegistry* registry, uint32_t n) {
+    Pacemaker::Callbacks cb;
+    cb.enter_view = [](uint64_t) {};
+    cb.view_timeout = [](uint64_t) {};
+    cb.send_wish = [](ReplicaId, std::shared_ptr<WishMsg>) {};
+    cb.broadcast_tc = [this](std::shared_ptr<TimeoutCertMsg>) { ++tcs_broadcast_; };
+    cb.send_tc = [](ReplicaId, std::shared_ptr<TimeoutCertMsg>) {};
+    return std::make_unique<Pacemaker>(&sim_, registry, Signer(registry, 0), n, kF,
+                                       Millis(10), Millis(1), cb);
+  }
+
+  Signature WishShare(ReplicaId r) const {
+    Sha256 ctx;  // Pacemaker::WishDigest
+    ctx.Update("hs1-wish");
+    ctx.UpdateU64(kView);
+    return Signer(&registry_, r).Sign(SignDomain::kWish, ctx.Finish());
+  }
+
+  WishMsg Wish(ReplicaId r) const {
+    WishMsg msg(r);
+    msg.view = kView;
+    msg.share = WishShare(r);
+    return msg;
+  }
+
+  TimeoutCertMsg Tc(std::vector<ReplicaId> signers) const {
+    TimeoutCertMsg tc(0);
+    tc.view = kView;
+    for (ReplicaId r : signers) tc.sigs.push_back(WishShare(r));
+    return tc;
+  }
+
+  KeyRegistry registry_, other_;
+  sim::Simulator sim_;
+  int tcs_broadcast_ = 0;
+};
+
+TEST_F(PacemakerVerdictTest, WishMemoSkipsOnlyTheVerifiedObject) {
+  auto pm = Make(&registry_, 4);  // quorum 3
+  const WishMsg w1 = Wish(1);
+  pm->OnWish(w1);
+  EXPECT_TRUE(w1.share_verified.get());
+  // A fresh message with a forged share is checked in full and dropped, so
+  // it cannot complete the quorum that one more real share would.
+  WishMsg forged = Wish(2);
+  forged.share.mac = w1.share.mac;
+  pm->OnWish(forged);
+  EXPECT_FALSE(forged.share_verified.get());
+  pm->OnWish(Wish(3));
+  EXPECT_EQ(tcs_broadcast_, 0);
+  pm->OnWish(Wish(2));
+  EXPECT_EQ(tcs_broadcast_, 1);
+  // The memo is what a second aggregator trusts: one whose registry rejects
+  // every share still counts the verified message, but not a fresh message
+  // with the same content.
+  auto blind = Make(&other_, 4);
+  blind->OnWish(w1);
+  const WishMsg fresh = Wish(2);
+  blind->OnWish(fresh);
+  EXPECT_FALSE(fresh.share_verified.get());
+  EXPECT_EQ(blind->wish_state_size(), 1u);
+}
+
+TEST_F(PacemakerVerdictTest, TcMemoRechecksQuorumSize) {
+  const TimeoutCertMsg tc = Tc({1, 2, 3});
+  auto q3 = Make(&registry_, 4);
+  q3->OnTimeoutCert(tc);
+  EXPECT_EQ(q3->epochs_synchronized(), 1u);
+  EXPECT_TRUE(tc.shares_verified.get());
+  auto q4 = Make(&registry_, 5);  // n - f = 4: the memoized TC is too small
+  q4->OnTimeoutCert(tc);
+  EXPECT_EQ(q4->epochs_synchronized(), 0u);
+  // A memo hit skips the shares (a registry that rejects them all still
+  // accepts), but a fresh TC with a forged share is checked in full.
+  auto blind = Make(&other_, 4);
+  blind->OnTimeoutCert(tc);
+  EXPECT_EQ(blind->epochs_synchronized(), 1u);
+  TimeoutCertMsg forged = Tc({1, 2, 3});
+  forged.sigs[1].mac = forged.sigs[0].mac;
+  auto fresh = Make(&registry_, 4);
+  fresh->OnTimeoutCert(forged);
+  EXPECT_EQ(fresh->epochs_synchronized(), 0u);
+  EXPECT_FALSE(forged.shares_verified.get());
+}
+
+TEST_F(PacemakerVerdictTest, TcWithDuplicateSignerNeverSetsItsMemo) {
+  auto pm = Make(&registry_, 4);
+  for (const std::vector<ReplicaId>& signers :
+       {std::vector<ReplicaId>{1, 2, 2}, std::vector<ReplicaId>{1, 2, 3, 3}}) {
+    const TimeoutCertMsg tc = Tc(signers);
+    pm->OnTimeoutCert(tc);
+    pm->OnTimeoutCert(tc);
+    EXPECT_FALSE(tc.shares_verified.get());
+  }
+  EXPECT_EQ(pm->epochs_synchronized(), 0u);
+}
+
 TEST(PacemakerTest, InitialEpochSynchronizesEveryone) {
   PacemakerHarness h(4, 1, Millis(10), Millis(1), /*instant_progress=*/false);
   h.StartAll();
