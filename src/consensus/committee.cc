@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace hotstuff1 {
 
@@ -47,29 +48,12 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-// Strict non-negative integer: digits only (no sign, no whitespace, no
-// empty string), bounded to keep downstream arithmetic safe.
+// ParseNumber bounded to 9 digits, keeping downstream arithmetic safe.
 bool ParseStrictUint(const std::string& s, uint64_t* out) {
-  if (s.empty() || s.size() > 9) return false;
-  uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = v;
+  int64_t v = 0;
+  if (s.size() > 9 || !ParseNumber(s, &v)) return false;
+  *out = static_cast<uint64_t>(v);
   return true;
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
 }
 
 }  // namespace

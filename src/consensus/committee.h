@@ -82,7 +82,6 @@ struct CommitteeSchedule {
   bool operator==(const CommitteeSchedule& o) const {
     return views_per_epoch == o.views_per_epoch && steps == o.steps;
   }
-  bool operator!=(const CommitteeSchedule& o) const { return !(*this == o); }
 };
 
 /// Parses the reconfiguration text grammar:

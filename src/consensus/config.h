@@ -160,9 +160,6 @@ inline bool operator==(const StrategySchedule& a, const StrategySchedule& b) {
   return a.entries == b.entries && a.epoch_length == b.epoch_length &&
          a.declared_gst == b.declared_gst;
 }
-inline bool operator!=(const StrategySchedule& a, const StrategySchedule& b) {
-  return !(a == b);
-}
 
 /// Byzantine behaviours used by the failure experiments (§7.3).
 enum class Fault : uint8_t {

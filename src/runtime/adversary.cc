@@ -1,9 +1,9 @@
 #include "runtime/adversary.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/logging.h"
+#include "common/parse.h"
 
 namespace hotstuff1 {
 
@@ -58,33 +58,6 @@ namespace {
 bool Fail(std::string* error, std::string msg) {
   if (error != nullptr) *error = std::move(msg);
   return false;
-}
-
-/// Strict non-negative integer parse of the whole string: plain digits only.
-/// strtoll would silently accept leading whitespace and sign characters
-/// ("+5", " 5", "\t5"), widening the grammar beyond what Format ever emits
-/// and breaking the Parse/Format round-trip contract.
-bool ParseNumber(const std::string& s, int64_t* out) {
-  if (s.empty() || s.size() > 18) return false;  // 18 digits always fit int64
-  int64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + (c - '0');
-  }
-  *out = v;
-  return true;
-}
-
-std::vector<std::string> Split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      parts.push_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return parts;
 }
 
 /// Parses "<id>|<lo>-<hi>" terms joined by '+' into an id list (e.g.

@@ -49,14 +49,6 @@ struct LookaheadSpec {
   SimTime window = 0;  // only read when mode == kWindow
 };
 
-inline bool operator==(const LookaheadSpec& a, const LookaheadSpec& b) {
-  return a.mode == b.mode &&
-         (a.mode != LookaheadMode::kWindow || a.window == b.window);
-}
-inline bool operator!=(const LookaheadSpec& a, const LookaheadSpec& b) {
-  return !(a == b);
-}
-
 /// Parses "auto", "off", or a positive integer microsecond window ("0" is
 /// off). Returns false on anything else.
 bool ParseLookahead(const std::string& s, LookaheadSpec* out);
@@ -265,8 +257,10 @@ class Experiment {
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;
 };
 
-/// One-line human summary of a configuration ("protocol=... n=... fault=...").
-/// Embedded in invariant-oracle diagnostics so a violation names its repro.
+/// The configuration as a copy-pasteable hs1sim command line: every `repro`
+/// knob (runtime/config_knob.h) as `--flag=value`, in table order. Fields
+/// no flag sets are not in it. Embedded in oracle diagnostics so a
+/// violation names its repro.
 std::string DescribeConfig(const ExperimentConfig& config);
 
 /// Convenience: run one configuration and return the result.

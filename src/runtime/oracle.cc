@@ -34,7 +34,7 @@ void InvariantOracle::Report(const char* invariant, const std::string& detail) {
   diag += "' violated at t=" + std::to_string(sim_->Now());
   diag += "us event#" + std::to_string(events_);
   diag += ": " + detail;
-  diag += " [" + setup_.config_summary + " seed=" + std::to_string(setup_.seed) + "]";
+  diag += " [" + setup_.config_summary + "]";
   HS1_LOG_ERROR() << diag;
   violations_.push_back(std::move(diag));
 }

@@ -61,7 +61,7 @@ class InvariantOracle {
   /// What the oracle must know about the run to judge events: the committee,
   /// the adversary placement (faulty replicas are exempt from checks — they
   /// may do anything), which correct replicas the rollback attack designates
-  /// as victims, and the (config, seed) pair for diagnostics.
+  /// as victims, and the (config, seed) repro for diagnostics.
   struct Setup {
     uint32_t n = 0;
     Fault fault = Fault::kNone;
@@ -78,8 +78,7 @@ class InvariantOracle {
     /// ever speaks for. End-of-run CheckSafety cannot see this (it skips
     /// crashed/out replicas); only this cross-epoch lattice can.
     std::shared_ptr<const CommitteeSchedule> committee;
-    uint64_t seed = 0;
-    std::string config_summary;  // one-line repro, e.g. "protocol=... n=..."
+    std::string config_summary;  // repro: DescribeConfig's flags, seed included
   };
 
   InvariantOracle(sim::Simulator* sim, Setup setup);

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/config_knob.h"
 #include "runtime/scenario.h"
 
 namespace hotstuff1 {
@@ -21,40 +22,9 @@ bool ParseReportFormat(const std::string& s, ReportFormat* out);
 
 struct ScenarioRunOptions {
   int jobs = 1;          // worker threads across points (clamped to the count)
-  // Threads inside each experiment's event loop; 0 keeps each point's
-  // configured value. Ignored when the scenario itself sweeps sim_jobs as
-  // an axis (overriding would relabel its rows).
-  int sim_jobs = 0;
-  // Lookahead policy for every point (--lookahead); has_lookahead = false
-  // keeps each point's configured value. Like sim_jobs, ignored when the
-  // scenario sweeps lookahead as an axis.
-  bool has_lookahead = false;
-  LookaheadSpec lookahead;
-  // Traffic-model overrides (--arrival / --offered-load / --client-groups);
-  // applied to every point unless the scenario sweeps that field as an axis
-  // (the same respect-the-axis rule as sim_jobs / lookahead).
-  bool has_arrival = false;
-  ArrivalKind arrival = ArrivalKind::kClosedLoop;
-  bool has_offered_load = false;
-  double offered_load = 0;
-  uint32_t client_groups = 0;  // 0 keeps each point's configured value
-  // Authenticator-scheme override (--cert-scheme); applied to every point
-  // unless the scenario sweeps cert_scheme as an axis (fig_cert_size does).
-  bool has_cert_scheme = false;
-  CertScheme cert_scheme = CertScheme::kMultisigVector;
-  // Arms the online invariant oracle on every point (--oracle). Scenarios
-  // that enable it in their base config (fuzz) run with it regardless.
-  bool oracle = false;
-  // Adversary strategy schedule forced onto every point (--strategy; grammar
-  // in runtime/adversary.h). Respect-the-axis: ignored when the scenario
-  // sweeps the strategy itself (fig_liveness does).
-  bool has_strategy = false;
-  StrategySchedule strategy;
-  // Committee reconfiguration schedule forced onto every point (--reconfig;
-  // grammar in consensus/committee.h). Respect-the-axis: ignored when the
-  // scenario sweeps the schedule itself (fig_reconfig does).
-  bool has_reconfig = false;
-  CommitteeSchedule reconfig;
+  // Knob values forced onto every point (--sim-jobs, --oracle, ...: the
+  // table's forcible rows), under the respect-the-axis rule of SweepRunner.
+  std::vector<KnobSetting> forced;
   bool smoke = false;    // CI-sized points, endpoint-subsampled axes
   // Reruns the scenario this many times and reports *median* wall-clock
   // metrics (--repeat). Deterministic metrics are byte-identical across the
@@ -98,94 +68,30 @@ struct SweepOutcome {
 ///
 /// Two orthogonal axes of parallelism compose here: `jobs` worker threads
 /// each run whole (config, seed) points (every Experiment owns its own
-/// Simulator/Network, so points never share state), while `sim_jobs > 0`
-/// forces every point's config to use that many threads *inside* its
-/// simulator event loop. Both are determinism-preserving: merged output is
-/// byte-identical at any (jobs, sim_jobs) combination.
+/// Simulator/Network, so points never share state), while a forced
+/// `sim-jobs` knob sets the threads *inside* each point's event loop. Both
+/// are determinism-preserving: merged output is byte-identical at any
+/// (jobs, sim-jobs) combination.
+///
+/// Forced knobs follow the respect-the-axis rule: a scenario whose points
+/// disagree with its base config on a knob (ConfigKnob::same) sweeps that
+/// knob, and forcing it would silently relabel the rows, so the scenario
+/// keeps its own values; every other scenario gets the forced value.
 class SweepRunner {
  public:
-  explicit SweepRunner(int jobs, int sim_jobs = 0)
-      : jobs_(jobs < 1 ? 1 : jobs), sim_jobs_(sim_jobs) {}
+  /// Every setting must name a forcible knob with a value its parser accepts.
+  explicit SweepRunner(int jobs, std::vector<KnobSetting> forced = {})
+      : jobs_(jobs < 1 ? 1 : jobs), forced_(std::move(forced)) {}
 
-  /// Forces `spec` onto every point's config (unless the scenario sweeps
-  /// lookahead itself — same respect-the-axis rule as sim_jobs).
-  SweepRunner& OverrideLookahead(const LookaheadSpec& spec) {
-    lookahead_ = spec;
-    has_lookahead_ = true;
-    return *this;
-  }
+  /// The expanded points of `spec`, forced knobs applied.
+  std::vector<SweepPoint> Points(const ScenarioSpec& spec, bool smoke = false) const;
 
-  /// Arms the invariant oracle on every point (idempotent with scenarios
-  /// that already enable it; the oracle never changes simulation results).
-  SweepRunner& ForceOracle() {
-    force_oracle_ = true;
-    return *this;
-  }
-
-  /// Forces an arrival process onto every point (respect-the-axis rule).
-  SweepRunner& ForceArrival(ArrivalKind kind) {
-    arrival_ = kind;
-    has_arrival_ = true;
-    return *this;
-  }
-
-  /// Forces an aggregate offered load (txn/s) onto every point.
-  SweepRunner& ForceOfferedLoad(double tps) {
-    offered_load_ = tps;
-    has_offered_load_ = true;
-    return *this;
-  }
-
-  /// Forces the client-group shard count onto every point (0 = keep).
-  SweepRunner& ForceClientGroups(uint32_t groups) {
-    client_groups_ = groups;
-    return *this;
-  }
-
-  /// Forces an authenticator scheme onto every point (respect-the-axis rule:
-  /// ignored for scenarios that sweep cert_scheme themselves).
-  SweepRunner& ForceCertScheme(CertScheme scheme) {
-    cert_scheme_ = scheme;
-    has_cert_scheme_ = true;
-    return *this;
-  }
-
-  /// Forces an adversary strategy schedule onto every point (respect-the-axis
-  /// rule: ignored for scenarios that sweep the strategy themselves).
-  SweepRunner& ForceStrategy(const StrategySchedule& strategy) {
-    strategy_ = strategy;
-    has_strategy_ = true;
-    return *this;
-  }
-
-  /// Forces a committee reconfiguration schedule onto every point
-  /// (respect-the-axis rule: ignored for scenarios sweeping it themselves).
-  SweepRunner& ForceReconfig(const CommitteeSchedule& reconfig) {
-    reconfig_ = reconfig;
-    has_reconfig_ = true;
-    return *this;
-  }
-
-  /// Runs every expanded point of `spec` and returns merged results.
+  /// Runs every point of `spec` and returns merged results.
   SweepOutcome Run(const ScenarioSpec& spec, bool smoke = false) const;
 
  private:
   int jobs_;
-  int sim_jobs_;
-  bool has_lookahead_ = false;
-  bool force_oracle_ = false;
-  LookaheadSpec lookahead_;
-  bool has_arrival_ = false;
-  ArrivalKind arrival_ = ArrivalKind::kClosedLoop;
-  bool has_offered_load_ = false;
-  double offered_load_ = 0;
-  uint32_t client_groups_ = 0;
-  bool has_cert_scheme_ = false;
-  CertScheme cert_scheme_ = CertScheme::kMultisigVector;
-  bool has_strategy_ = false;
-  StrategySchedule strategy_;
-  bool has_reconfig_ = false;
-  CommitteeSchedule reconfig_;
+  std::vector<KnobSetting> forced_;
 };
 
 // Emitters over a merged outcome. All iterate points in spec order, so the

@@ -167,13 +167,12 @@ TEST(LivenessOracleTest, DiagnosticsCarryConfigAndSeed) {
   LivenessOracle::Setup setup;
   setup.n = 4;
   setup.grace = Millis(100);
-  setup.seed = 77;
-  setup.config_summary = "protocol=HotStuff-1 n=4";
+  setup.config_summary = "--protocol=hotstuff1 --n=4 --seed=77";
   LivenessOracle oracle(&sim, setup);
   oracle.Finalize(Millis(200), false);
   ASSERT_EQ(oracle.violations(), 1u);
   const std::string diag = oracle.FirstDiagnostic();
-  EXPECT_NE(diag.find("protocol=HotStuff-1 n=4"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("--protocol=hotstuff1 --n=4"), std::string::npos) << diag;
   EXPECT_NE(diag.find("seed=77"), std::string::npos) << diag;
   EXPECT_NE(diag.find("event#"), std::string::npos) << diag;
 }
@@ -185,8 +184,7 @@ InvariantOracle::Setup RollbackSetup() {
   setup.n = 7;  // f = 2: epochs are 3 views wide
   setup.fault = Fault::kRollbackAttack;
   setup.rollback_victims = 1;  // victim = replica 0 (first correct id)
-  setup.seed = 5;
-  setup.config_summary = "protocol=test n=7";
+  setup.config_summary = "--protocol=test --n=7";
   return setup;
 }
 
@@ -286,7 +284,7 @@ TEST(LivenessMutation, BrokenEpochSyncIsCaughtOnlyByTheProgressMonitor) {
 
   const std::string& diag = res.liveness_first_violation;
   EXPECT_NE(diag.find("liveness"), std::string::npos) << diag;
-  EXPECT_NE(diag.find("n=7"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("--n=7 "), std::string::npos) << diag;
   EXPECT_NE(diag.find("seed=9"), std::string::npos) << diag;
   ASSERT_NE(exp.liveness_oracle(), nullptr);
   EXPECT_GT(exp.liveness_oracle()->events_observed(), 0u);

@@ -271,10 +271,10 @@ TEST(ParallelExperimentTest, Fig8ScalabilityCsvByteIdentical) {
   ASSERT_NE(spec, nullptr);
 
   auto run_csv = [&](int jobs, int sim_jobs, const char* lookahead) {
-    SweepRunner runner(jobs, sim_jobs);
     LookaheadSpec spec_la;
     EXPECT_TRUE(ParseLookahead(lookahead, &spec_la)) << lookahead;
-    runner.OverrideLookahead(spec_la);
+    const SweepRunner runner(
+        jobs, {{"sim-jobs", std::to_string(sim_jobs)}, {"lookahead", lookahead}});
     const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
     std::ostringstream os;
     EmitCsv(outcome, os);
@@ -300,10 +300,10 @@ TEST(ParallelExperimentTest, FigSaturationCsvByteIdentical) {
   ASSERT_NE(spec, nullptr);
 
   auto run_csv = [&](int jobs, int sim_jobs, const char* lookahead) {
-    SweepRunner runner(jobs, sim_jobs);
     LookaheadSpec spec_la;
     EXPECT_TRUE(ParseLookahead(lookahead, &spec_la)) << lookahead;
-    runner.OverrideLookahead(spec_la);
+    const SweepRunner runner(
+        jobs, {{"sim-jobs", std::to_string(sim_jobs)}, {"lookahead", lookahead}});
     const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
     std::ostringstream os;
     EmitCsv(outcome, os);
@@ -326,8 +326,8 @@ TEST(ParallelExperimentTest, ParSpeedupCsvByteIdentical) {
   ASSERT_NE(spec, nullptr);
 
   auto run_csv = [&](int jobs, int sim_jobs, LookaheadMode mode) {
-    SweepRunner runner(jobs, sim_jobs);
-    runner.OverrideLookahead({mode, 0});
+    const SweepRunner runner(jobs, {{"sim-jobs", std::to_string(sim_jobs)},
+                                    {"lookahead", FormatLookahead({mode, 0})}});
     const SweepOutcome outcome = runner.Run(*spec, /*smoke=*/true);
     std::ostringstream os;
     EmitCsv(outcome, os);

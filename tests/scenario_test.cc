@@ -9,10 +9,12 @@
 #include <sstream>
 #include <tuple>
 
+#include "runtime/config_knob.h"
 #include "runtime/report.h"
 #include "runtime/scenario.h"
 #include "runtime/sweep_runner.h"
 #include "sim/simulator.h"
+#include "tests/knob_samples.h"
 
 namespace hotstuff1 {
 namespace {
@@ -163,25 +165,29 @@ TEST(SweepRunnerTest, MultiSeedTablesCarryVarianceColumns) {
   EXPECT_EQ(os1.str().find("±"), std::string::npos);
 }
 
-TEST(SweepRunnerTest, SimJobsOverrideRespectsSimJobsAxis) {
-  // A scenario that sweeps sim_jobs itself keeps its axis values even when
-  // the runner carries a global override; a scenario that does not gets the
-  // override applied to every point.
-  ScenarioSpec sweeping = TinySpec();
-  sweeping.rows.clear();
-  for (uint32_t jobs : {1u, 2u}) {
-    sweeping.rows.push_back({std::to_string(jobs), [jobs](ExperimentConfig& c) {
-                               c.sim_jobs = jobs;
-                             }});
-  }
-  const SweepOutcome swept = SweepRunner(1, /*sim_jobs=*/8).Run(sweeping);
-  for (const SweepPoint& p : swept.points) {
-    EXPECT_EQ(p.config.sim_jobs, static_cast<uint32_t>(std::stoi(p.row_label)));
-  }
+TEST(SweepRunnerTest, ForcedKnobsRespectSweptAxes) {
+  // For every forcible knob: a scenario that sweeps the knob itself keeps
+  // its axis values even when the runner carries a forced value; a scenario
+  // that does not gets the forced value on every point.
+  for (const ConfigKnob& knob : ConfigKnobs()) {
+    if (!knob.forcible) continue;
+    SCOPED_TRACE("--" + knob.flag);
+    const std::string forced = KnobSamples().at(knob.flag);
+    const SweepRunner runner(1, {{knob.flag, forced}});
+    ExperimentConfig want;
+    ASSERT_TRUE(knob.parse(forced, &want, nullptr));
 
-  const SweepOutcome plain = SweepRunner(1, /*sim_jobs=*/2).Run(TinySpec());
-  for (const SweepPoint& p : plain.points) {
-    EXPECT_EQ(p.config.sim_jobs, 2u);
+    ScenarioSpec sweeping = TinySpec();
+    sweeping.rows = {{"base", nullptr},
+                     {"swept", [&](ExperimentConfig& c) { knob.parse(forced, &c, nullptr); }}};
+    for (const SweepPoint& p : runner.Points(sweeping)) {
+      EXPECT_EQ(knob.same(p.config, sweeping.base), p.row_label == "base");
+    }
+
+    const ScenarioSpec plain = TinySpec();
+    for (const SweepPoint& p : runner.Points(plain)) {
+      EXPECT_TRUE(knob.same(p.config, want));
+    }
   }
 }
 
