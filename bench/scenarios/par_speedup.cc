@@ -4,17 +4,19 @@
 // The sweep fixes one heavy configuration (n = 64, batch = 1000, LAN, YCSB)
 // and varies --sim-jobs (rows) under three regimes (tables):
 //
-//   2GBps/off   - the paper's default bandwidth, tick-parallel only (PR 2).
-//                 Egress serialization staggers a proposal's n-1 copies
-//                 across ticks, so same-timestamp batching finds little to
-//                 run concurrently: the baseline the lookahead work targets.
+//   2GBps/off   - the paper's default bandwidth, zero-lookahead windows
+//                 (one timestamp each). Egress serialization staggers a
+//                 proposal's n-1 copies across timestamps, so single-
+//                 timestamp windows find little to run concurrently: the
+//                 baseline the lookahead work targets.
 //   2GBps/auto  - default bandwidth with the conservative lookahead window
 //                 (auto = min cross-shard delivery latency, 400us on this
 //                 LAN). Staggered deliveries fall inside one safe horizon
 //                 and run concurrently: the regime the roadmap called out.
 //   200GBps/off - modern-NIC bandwidth, where all n-1 copies depart within
-//                 one virtual microsecond and tick-parallelism alone is
-//                 enough (the PR 2 headline configuration, kept comparable).
+//                 one virtual microsecond and single-timestamp windows alone
+//                 are wide (the executor's original headline configuration,
+//                 kept comparable).
 //
 // Every point produces byte-identical *virtual* results — that is the
 // executor's contract — so the interesting column is wall_ms, the real time

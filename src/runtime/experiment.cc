@@ -198,9 +198,10 @@ void Experiment::Setup() {
   plan_ = MakeAdversaryPlan(n, config_.fault, config_.num_faulty,
                             config_.rollback_victims, std::move(schedule));
 
-  // The event cap needs the serial tick boundary for exact accounting, so
-  // the parallel executor silently pins itself to tick-parallel while a cap
-  // is set — visible here instead of silent (EmitTables / RunScenario warn).
+  // The event cap needs windows that run exactly the events they pop, so the
+  // parallel executor silently pins itself to zero-lookahead windows while a
+  // cap is set — visible here instead of silent (EmitTables / RunScenario
+  // warn).
   cap_parallelism_degraded_ =
       config_.event_cap > 0 && config_.sim_jobs > 1 && lookahead_window > 0;
 

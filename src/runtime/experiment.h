@@ -40,7 +40,7 @@ enum class WorkloadKind { kYcsb = 0, kTpcc = 1 };
 /// timestamps concurrently — see docs/ARCHITECTURE.md, "Lookahead window").
 enum class LookaheadMode : uint32_t {
   kAuto = 0,    // derive from min cross-shard delivery latency at setup
-  kOff = 1,     // tick-parallel only (PR 2 behavior)
+  kOff = 1,     // zero-lookahead windows: one timestamp at a time
   kWindow = 2,  // explicit window, microseconds of virtual time
 };
 
@@ -129,7 +129,7 @@ struct ExperimentConfig {
   // kAuto derives the safe horizon from the topology's minimum cross-shard
   // delivery latency plus the bandwidth serialization floor; any setting is
   // byte-identical to any other. Only consulted when sim_jobs > 1, and
-  // forced off (tick-parallel) while event_cap is set.
+  // forced off (zero-lookahead windows) while event_cap is set.
   LookaheadSpec lookahead;
 
   // Safety valve against runaway event storms: 0 = unlimited. A truncated
@@ -201,8 +201,9 @@ struct ExperimentResult {
   uint64_t liveness_violations = 0;
   std::string liveness_first_violation;
   // True when event_cap forced the parallel executor to silently fall back
-  // to tick-parallel scheduling (cap accounting needs the serial tick
-  // boundary, so windowed lookahead is disabled while a cap is set).
+  // to zero-lookahead windows (exact cap accounting needs windows that run
+  // exactly the events they pop, so lookahead is disabled while a cap is
+  // set).
   // Executor-shape-dependent by definition: excluded from CSV/JSON emitters
   // and from result-equality checks, surfaced as a visible warning instead.
   bool cap_parallelism_degraded = false;

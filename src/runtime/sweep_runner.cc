@@ -262,7 +262,7 @@ void EmitTables(const SweepOutcome& outcome, std::ostream& os) {
     if (capped > listed) os << "  ... and " << (capped - listed) << " more\n";
   }
   // Degraded parallelism is also never silent: an event cap pins the
-  // parallel executor to tick-parallel scheduling, so --sim-jobs > 1 with a
+  // parallel executor to zero-lookahead windows, so --sim-jobs > 1 with a
   // cap runs slower than the flag suggests.
   size_t degraded = 0;
   for (const ExperimentResult& r : outcome.results) {
@@ -272,7 +272,7 @@ void EmitTables(const SweepOutcome& outcome, std::ostream& os) {
     os << "NOTE: " << degraded << " of " << outcome.results.size()
        << " points ran with an event cap under --sim-jobs > 1; windowed "
           "lookahead is disabled while a cap is set, so those points fell "
-          "back to tick-parallel scheduling (cap_parallelism_degraded)\n";
+          "back to zero-lookahead windows (cap_parallelism_degraded)\n";
   }
   if (!spec.table_note.empty()) os << spec.table_note << "\n";
 }

@@ -52,8 +52,9 @@ struct SweepOutcome {
 
   bool AllSafe() const;
   bool AnyCapHit() const;
-  /// Any point silently fell back to tick-parallel because an event cap was
-  /// set under --sim-jobs > 1 (ExperimentResult::cap_parallelism_degraded).
+  /// Any point silently fell back to zero-lookahead windows because an event
+  /// cap was set under --sim-jobs > 1
+  /// (ExperimentResult::cap_parallelism_degraded).
   bool AnyCapDegraded() const;
   /// Sum of invariant-oracle violations across points (0 when disabled).
   uint64_t TotalOracleViolations() const;

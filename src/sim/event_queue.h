@@ -17,14 +17,14 @@
 //   no-past-push: every Push happens at time >= the maximum time ever
 //   popped (near_start_).
 //
-// The simulator guarantees it on every path: serial/tick/window execution
-// clamp scheduling to the executing event's own time, the cap-fallback
-// repush re-inserts at exactly the popped tick, and window commits only push
-// at or beyond the executed horizon. Push checks it.
+// The simulator guarantees it on every path: serial and window execution
+// clamp scheduling to the executing event's own time, and window commits
+// only push at or beyond the latest time the window popped. Push checks it.
 //
 // In-bucket order relies on a second property: appends into one bucket
-// carry ascending seq. Fresh pushes have globally increasing seqs; repushes
-// refill a just-drained bucket in pop (= seq) order; far->near migration
+// carry ascending seq. Fresh pushes have globally increasing seqs; a caller
+// re-pushing popped handles must refill a just-drained bucket in pop (= seq)
+// order (the simulator never re-pushes); far->near migration
 // happens only when the ring is empty and drains the heap in (time, seq)
 // order. Peek never advances the window (a peeked-but-unpopped event must
 // not constrain later pushes, see Simulator::RunUntil).

@@ -22,13 +22,13 @@ void Simulator::AtExec(SimTime t, Callback cb) {
 }
 
 void Simulator::AtShardExec(SimTime t, ShardId shard, Callback cb) {
-  // Clamp to the *executing event's* time (== now_ on the serial and tick
-  // paths), so a window event never schedules into its own past.
+  // Clamp to the *executing event's* time (== now_ on the serial path and in
+  // barriers), so a window event never schedules into its own past.
   const SimTime now = Now();
   if (t < now) t = now;
-  // During a parallel tick or window, scheduling requests are staged per
-  // parent event and committed in deterministic order after the round.
-  if (ParallelExecutor::StageIfInTick(this, t, shard, &cb)) return;
+  // During a parallel window, scheduling requests are staged per parent
+  // event and committed in deterministic order after the window.
+  if (ParallelExecutor::StageIfInWindow(this, t, shard, &cb)) return;
   PushEvent(t, shard, std::move(cb));
 }
 
@@ -41,8 +41,8 @@ void Simulator::SetLookahead(SimTime window) {
 }
 
 void Simulator::SetJobs(int jobs) {
-  // Clamp to the widest useful pool: rounds are at most one event per shard
-  // (<= ReplicaSet::kCapacity replicas + clients — the committee-size ceiling
+  // Clamp to the widest useful pool: windows run at most one event per shard at
+  // once (<= ReplicaSet::kCapacity replicas + clients — the committee-size ceiling
   // every quorum structure shares), so more workers can never help, and
   // absurd values must not reach std::thread's constructor (which throws).
   constexpr int kMaxJobs = static_cast<int>(ReplicaSet::kCapacity);

@@ -3,14 +3,14 @@
 // (configuration, seed) — at ANY worker count.
 //
 // Single-threaded by default; SetJobs(N>1) attaches a ParallelExecutor that
-// processes same-timestamp events concurrently while preserving exactly the
-// sequential semantics (see parallel_executor.h for the determinism
-// contract and docs/ARCHITECTURE.md for the sharding model).
-// SetLookahead(W>1) additionally lets the executor run events whose
-// timestamps fall within a conservative safe horizon of W microseconds
-// concurrently — callers must guarantee that no event ever schedules onto a
-// *different* shard less than W ahead of its own timestamp (the experiment
-// layer derives W from the network's minimum cross-node delivery latency).
+// runs the events of one timestamp on distinct shards concurrently while
+// preserving exactly the sequential semantics (see parallel_executor.h for
+// the determinism contract and docs/ARCHITECTURE.md for the sharding model).
+// SetLookahead(W>1) widens its windows to every event whose timestamp falls
+// within a conservative safe horizon of W microseconds — callers must
+// guarantee that no event ever schedules onto a *different* shard less than
+// W ahead of its own timestamp (the experiment layer derives W from the
+// network's minimum cross-node delivery latency).
 //
 // Hot-path storage: pending events live as flat records in an EventArena
 // and are ordered by a calendar queue (event_queue.h); callbacks are
@@ -36,8 +36,8 @@ class ParallelExecutor;
 ///
 /// Ownership/threading: one Simulator per Experiment; not copyable. All
 /// public methods are called from the thread driving the simulation (or, for
-/// At/AtShard/SyncShared, from executor workers while a parallel tick is in
-/// flight — the executor makes those paths safe). Distinct Simulator
+/// At/AtShard/SyncShared, from executor workers while a parallel window is
+/// in flight — the executor makes those paths safe). Distinct Simulator
 /// instances are fully independent: the sweep runner exploits this to run
 /// experiments embarrassingly parallel across threads.
 ///
@@ -106,17 +106,17 @@ class Simulator {
   int jobs() const;
 
   /// Sets the conservative lookahead window, in microseconds of virtual
-  /// time. 0 or 1 (the default) keeps the executor tick-parallel; W > 1 lets
-  /// it run events within [t, t+W) concurrently. Contract: after this call,
-  /// no event may schedule onto a different shard less than W after its own
-  /// timestamp (checked at runtime). Byte-identical output at any value.
-  /// Ignored without an executor; also ignored while an event cap is set,
-  /// because exact serial-equivalent cap truncation cannot be guaranteed
-  /// once events from several timestamps are in flight at once.
+  /// time. 0 or 1 (the default) keeps the executor's windows to a single
+  /// timestamp; W > 1 lets it run events within [t, t+W) concurrently.
+  /// Contract: after this call, no event may schedule onto a different shard
+  /// less than W after its own timestamp (checked at runtime).
+  /// Byte-identical output at any value. Ignored without an executor; also
+  /// ignored while an event cap is set, because exact serial-equivalent cap
+  /// truncation needs windows that run exactly the events they pop.
   void SetLookahead(SimTime window);
   SimTime lookahead() const { return lookahead_; }
 
-  /// Serial-domain gate: when called from a callback during a parallel tick,
+  /// Serial-domain gate: when called from a callback in a parallel window,
   /// blocks until every event ordered before the caller has completed, so
   /// accesses to shared (non-sharded) state happen in exact sequence order.
   /// No-op on the single-threaded path. Components guarding shared mutable
@@ -160,7 +160,7 @@ class Simulator {
   SimTime NowInExecutor() const;
 
   /// Executor-mode scheduling: shard inheritance, per-event time clamp, and
-  /// staging during parallel ticks/windows.
+  /// staging during parallel windows.
   void AtExec(SimTime t, Callback cb);
   void AtShardExec(SimTime t, ShardId shard, Callback cb);
 
@@ -169,11 +169,6 @@ class Simulator {
   /// single relocation: call site -> arena record.
   void PushEvent(SimTime t, ShardId shard, Callback&& cb) {
     queue_.Push(t, next_seq_++, arena_.Alloc(shard, std::move(cb)));
-  }
-  /// Re-inserts an event that was popped but not executed (cap fallback).
-  /// Keeps the original sequence number.
-  void RepushEvent(Event ev) {
-    queue_.Push(ev.time, ev.seq, arena_.Alloc(ev.shard, std::move(ev.cb)));
   }
   /// Pops the front event out of the queue + arena (executor paths).
   Event PopEvent() {

@@ -4,7 +4,7 @@
 // --jobs/--lookahead) all stand on this. The randomized driver interleaves
 // >1e6 operations against a reference heap under the simulator's real usage
 // contract (no-past-push, globally ascending seqs); targeted tests pin the
-// far/near window edges and the cap-fallback repush path.
+// far/near window edges and re-pushes into a just-drained bucket.
 
 #include <gtest/gtest.h>
 
@@ -174,8 +174,8 @@ TEST(EventQueueTest, RepushRefillsDrainedTickInPopOrder) {
   EventQueue q;
   for (uint64_t seq = 0; seq < 6; ++seq) q.Push(100, seq, 10 + seq);
   q.Push(105, 6, 16);
-  // The executor pops a whole tick, hits the event cap after 2, and repushes
-  // the tail with its *original* seqs in pop order.
+  // A caller pops a whole timestamp, keeps 2, and re-pushes the tail with
+  // its *original* seqs in pop order.
   std::vector<EventHandle> tick;
   for (int i = 0; i < 6; ++i) tick.push_back(q.Pop());
   for (size_t i = 2; i < tick.size(); ++i) {
@@ -230,9 +230,10 @@ TEST(EventQueueSimTest, NestedSchedulingKeepsAscendingOrder) {
   }
 }
 
-TEST(EventQueueSimTest, CapFallbackRepushKeepsOrderUnderExecutor) {
-  // The parallel executor pops whole rounds; a mid-round cap repushes the
-  // unexecuted tail. The resumed run must produce exactly the serial result.
+TEST(EventQueueSimTest, CapTruncationKeepsOrderUnderExecutor) {
+  // The parallel executor pops within the cap's remaining budget, so a cap
+  // lands mid-timestamp and leaves the tail queued. The resumed run must
+  // produce exactly the serial result.
   // Recording is per shard: same-tick events on distinct shards legitimately
   // run concurrently, but each shard's own sequence is fully ordered.
   using PerShard = std::array<std::vector<int>, 4>;

@@ -114,7 +114,7 @@ TEST(HorizonTest, ClientResponseHopBoundsTheWindow) {
   EXPECT_EQ(exp.simulator().lookahead(), Millis(0.4));
 }
 
-TEST(HorizonTest, ZeroDelayLinkDegeneratesToTickParallel) {
+TEST(HorizonTest, ZeroDelayLinkDegeneratesToZeroLookahead) {
   ExperimentConfig cfg = TinyConfig();
   cfg.sim_jobs = 4;
   cfg.topology = Topology::Lan(cfg.n, /*one_way=*/0);
@@ -163,7 +163,7 @@ TEST(HorizonTest, ParseLookaheadRoundTrips) {
 // Runs `kEvents` events at distinct consecutive timestamps (one per shard)
 // and reports the peak number simultaneously in flight. Each event waits
 // briefly for the others, so overlap is observed whenever the executor
-// allows it: tick-parallel execution can never overlap distinct timestamps;
+// allows it: zero-lookahead windows can never overlap distinct timestamps;
 // a lookahead window covering all of them must.
 int PeakCrossTimestampOverlap(Simulator& sim, int events, int wait_ms = 5000) {
   std::mutex mu;
@@ -201,8 +201,8 @@ TEST(LookaheadWindowTest, OverlapsEventsAcrossTimestamps) {
   EXPECT_EQ(sim.Now(), 12);
 }
 
-// A finite event cap pins the executor to the tick path (exact serial
-// truncation), so distinct timestamps never overlap. The first event's
+// A finite event cap pins the executor to zero-lookahead windows (exact
+// serial truncation), so distinct timestamps never overlap. The first event's
 // rendezvous times out — keep the count small so the test stays fast.
 TEST(LookaheadWindowTest, EventCapDisablesWindows) {
   Simulator sim;
@@ -210,7 +210,7 @@ TEST(LookaheadWindowTest, EventCapDisablesWindows) {
   sim.SetLookahead(100);
   sim.SetEventCap(1000);
   EXPECT_EQ(PeakCrossTimestampOverlap(sim, 2, /*wait_ms=*/200), 1)
-      << "capped runs must stay tick-parallel";
+      << "capped runs must keep to single-timestamp windows";
   EXPECT_EQ(sim.EventsProcessed(), 2u);
 }
 
@@ -239,8 +239,8 @@ TEST(EventCapVisibilityTest, TablesWarnWhenAPointHitsTheCap) {
       << os.str();
 }
 
-// A cap under --sim-jobs > 1 silently pinned the executor to tick-parallel
-// scheduling before the cap_parallelism_degraded diagnostic existed; now the
+// A cap under --sim-jobs > 1 silently pinned the executor to zero-lookahead
+// windows before the cap_parallelism_degraded diagnostic existed; now the
 // fallback must be reported on the result and in the tables.
 TEST(EventCapVisibilityTest, CappedParallelRunReportsDegradedParallelism) {
   ExperimentConfig cfg = TinyConfig();

@@ -1,12 +1,14 @@
 // Deterministic intra-experiment parallelism tests: the parallel executor
 // must reproduce the single-threaded event loop byte for byte at any
-// --sim-jobs count — shard chaining, barriers, the SyncShared gate, staged
-// scheduling, cap truncation, and full experiments / scenario sweeps.
+// --sim-jobs count — per-shard ordering, barriers, the SyncShared gate,
+// staged scheduling, cap truncation, and full experiments / scenario sweeps.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "runtime/experiment.h"
@@ -58,7 +60,7 @@ ScriptOutcome RunScript(int jobs) {
   sim.At(15, [&] {
     int total = 0;
     for (const auto& log : out.logs) total += static_cast<int>(log.size());
-    EXPECT_EQ(total, 2 * kShards);  // all tick-10 work is complete
+    EXPECT_EQ(total, 2 * kShards);  // all t=10 work is complete
   });
   sim.Run();
   out.now = sim.Now();
@@ -163,25 +165,86 @@ TEST(ParallelExecutorTest, WindowScriptMatchesSerialAtAnyWindow) {
   }
 }
 
+// Zero-lookahead windows (W <= 1) must not run follow-ons inline: a
+// cross-shard event staged at the window's own timestamp precedes, in serial
+// order, the same-shard follow-on its parent scheduled after it.
+TEST(ParallelExecutorTest, ZeroDelayCrossShardMatchesSerial) {
+  constexpr int kShards = 4;
+  auto run = [](int jobs, SimTime window) {
+    Simulator sim;
+    sim.SetJobs(jobs);
+    sim.SetLookahead(window);
+    std::vector<int> log;
+    auto append = [&](int v) {
+      sim.SyncShared();
+      log.push_back(v);
+    };
+    for (ShardId s = 0; s < kShards; ++s) {
+      sim.AtShard(5, s, [&, s] {
+        sim.AtShard(5, (s + 1) % kShards,
+                    [&, s] { append(100 + static_cast<int>(s)); });
+        sim.After(0, [&, s] { append(static_cast<int>(s)); });
+      });
+    }
+    sim.Run();
+    return log;
+  };
+  const std::vector<int> serial = run(1, 0);
+  ASSERT_EQ(serial, (std::vector<int>{100, 0, 101, 1, 102, 2, 103, 3}));
+  for (SimTime window : {SimTime{0}, SimTime{1}}) {
+    for (int jobs : {2, 4, 8}) {
+      EXPECT_EQ(run(jobs, window), serial) << "jobs=" << jobs << " window=" << window;
+    }
+  }
+}
+
 TEST(ParallelExecutorTest, EventCapTruncatesIdentically) {
+  using Counts = std::array<uint64_t, 4>;  // per shard: shards run concurrently
+  auto total = [](const Counts& c) { return c[0] + c[1] + c[2] + c[3]; };
   auto run = [](int jobs) {
     Simulator sim;
     sim.SetJobs(jobs);
     sim.SetEventCap(10);
-    uint64_t ran = 0;
+    Counts ran{};
     for (ShardId s = 0; s < 4; ++s) {
       for (int k = 0; k < 5; ++k) {
-        sim.AtShard(7, s, [&] { ++ran; });
+        sim.AtShard(7, s, [&ran, s] { ++ran[s]; });
       }
     }
     sim.Run();
-    return std::tuple<uint64_t, uint64_t, bool, size_t>{
+    return std::tuple<Counts, uint64_t, bool, size_t>{
         ran, sim.EventsProcessed(), sim.cap_hit(), sim.PendingEvents()};
   };
   const auto serial = run(1);
-  EXPECT_EQ(std::get<0>(serial), 10u);
+  EXPECT_EQ(total(std::get<0>(serial)), 10u);
   EXPECT_TRUE(std::get<2>(serial));
   EXPECT_EQ(run(4), serial);
+
+  // A zero-delay runaway storm under a lookahead window: every event
+  // re-schedules itself forever, so only the cap stops the run.
+  struct Storm {
+    Simulator* sim;
+    uint64_t* ran;
+    void operator()() const {
+      ++*ran;
+      sim->After(0, *this);
+    }
+  };
+  auto storm = [](int jobs) {
+    Simulator sim;
+    sim.SetJobs(jobs);
+    sim.SetLookahead(100);
+    sim.SetEventCap(1000);
+    Counts ran{};
+    for (ShardId s = 0; s < 4; ++s) sim.AtShard(3, s, Storm{&sim, &ran[s]});
+    sim.Run();
+    return std::tuple<Counts, uint64_t, bool, size_t>{
+        ran, sim.EventsProcessed(), sim.cap_hit(), sim.PendingEvents()};
+  };
+  const auto serial_storm = storm(1);
+  EXPECT_EQ(std::get<1>(serial_storm), 1000u);
+  EXPECT_TRUE(std::get<2>(serial_storm));
+  EXPECT_EQ(storm(4), serial_storm);
 }
 
 ExperimentConfig SmallConfig(ProtocolKind kind) {
@@ -210,8 +273,9 @@ TEST(ParallelExperimentTest, ByteIdenticalAcrossSimJobs) {
 }
 
 // The lookahead acceptance gate at the experiment level: every deterministic
-// field agrees between the serial loop, the tick-parallel executor, and the
-// lookahead window (auto and explicit), at several worker counts.
+// field agrees between the serial loop and the parallel executor with
+// zero-lookahead windows (off) and wide ones (auto and explicit), at several
+// worker counts.
 TEST(ParallelExperimentTest, ByteIdenticalAcrossLookahead) {
   for (ProtocolKind kind : {ProtocolKind::kHotStuff, ProtocolKind::kHotStuff1}) {
     ExperimentConfig cfg = SmallConfig(kind);
@@ -251,8 +315,9 @@ TEST(ParallelExperimentTest, ByteIdenticalUnderFaultsAndGeo) {
   ExpectSameResult(RunExperiment(cfg), serial);
 }
 
-// Capped runs stay deterministic too: lookahead degrades to tick-parallel
-// so truncation lands on exactly the serial event.
+// Capped runs stay deterministic too: lookahead degrades to zero-lookahead
+// windows popped within the remaining budget, so truncation lands on exactly
+// the serial event.
 TEST(ParallelExperimentTest, ByteIdenticalUnderEventCapWithLookahead) {
   ExperimentConfig cfg = SmallConfig(ProtocolKind::kHotStuff1);
   cfg.event_cap = 30000;

@@ -138,7 +138,7 @@ int RunMain(int argc, char** argv) {
   if (res.cap_parallelism_degraded) {
     std::fprintf(stderr,
                  "warning: --event_cap with --sim-jobs > 1 disables windowed "
-                 "lookahead; this run fell back to tick-parallel scheduling "
+                 "lookahead; this run fell back to zero-lookahead windows "
                  "(cap_parallelism_degraded)\n");
   }
   return res.safety_ok && res.oracle_violations == 0 &&
