@@ -187,7 +187,8 @@ int RunMicro(const ScenarioRunOptions& options) {
     // row measures only Speculate + CommitChain.
     add("ledger_speculate_commit/100txn", TimeNsTimedSection(budget_ms, [&] {
           BlockStore store;
-          Ledger ledger(&store, KvState());
+          ExecTree tree;
+          Ledger ledger(&store, &tree);
           auto block = std::make_shared<Block>(BlockId{1, 1}, store.genesis()->hash(),
                                                1, 0, txns);
           store.Put(block);

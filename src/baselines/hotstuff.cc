@@ -10,8 +10,8 @@ namespace hotstuff1 {
 ChainedReplica::ChainedReplica(ReplicaId id, const ConsensusConfig& config,
                                sim::Network* net, const KeyRegistry* registry,
                                TransactionSource* source, ResponseSink* sink,
-                               KvState initial_state)
-    : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
+                               ExecTree* tree)
+    : ReplicaBase(id, config, net, registry, source, sink, tree),
       high_cert_(Certificate::Genesis()) {}
 
 void ChainedReplica::UpdateHighCert(const Certificate& cert) {

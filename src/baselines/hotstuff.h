@@ -29,7 +29,7 @@ class ChainedReplica : public ReplicaBase {
  public:
   ChainedReplica(ReplicaId id, const ConsensusConfig& config, sim::Network* net,
                  const KeyRegistry* registry, TransactionSource* source,
-                 ResponseSink* sink, KvState initial_state);
+                 ResponseSink* sink, ExecTree* tree);
 
   const Certificate& high_cert() const { return high_cert_; }
   uint64_t voted_view() const { return voted_view_; }

@@ -169,8 +169,8 @@ std::vector<Transaction> ClientPool::DrawBatch(ReplicaId leader, size_t max,
 }
 
 void ClientPool::OnBlockResponse(ReplicaId from, const BlockPtr& block,
-                                 const std::vector<uint64_t>& results,
-                                 bool speculative, SimTime send_time) {
+                                 const TxnResults& results, bool speculative,
+                                 SimTime send_time) {
   // Response hop back to the clients. Only immutable state is read here (the
   // replica's event may run concurrently with other shards); all pool
   // mutation happens in scheduled events on the owning groups' shards — one
@@ -186,7 +186,7 @@ void ClientPool::OnBlockResponse(ReplicaId from, const BlockPtr& block,
     if (!(present[g >> 6] & (1ull << (g & 63)))) continue;
     sim_->AtShard(send_time + lat, ClientGroupShard(g),
                   [this, g, from, block, results, speculative]() {
-                    Process(g, from, block, results, speculative);
+                    Process(g, from, block, *results, speculative);
                   });
   }
 }

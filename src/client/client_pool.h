@@ -149,7 +149,7 @@ class ClientPool : public TransactionSource, public ResponseSink {
 
   // --- ResponseSink ------------------------------------------------------------
   void OnBlockResponse(ReplicaId from, const BlockPtr& block,
-                       const std::vector<uint64_t>& results, bool speculative,
+                       const TxnResults& results, bool speculative,
                        SimTime send_time) override;
 
   /// Conservative lower bound on the replica->client response hop, the one

@@ -44,8 +44,8 @@ class ResponseSink {
   /// `speculative` distinguishes HotStuff-1 early (prepare-time) responses
   /// from committed responses. `results` aligns with block->txns().
   virtual void OnBlockResponse(ReplicaId from, const BlockPtr& block,
-                               const std::vector<uint64_t>& results,
-                               bool speculative, SimTime send_time) = 0;
+                               const TxnResults& results, bool speculative,
+                               SimTime send_time) = 0;
 };
 
 /// \brief Infinite synthetic source: mints fresh transactions on demand from
@@ -80,8 +80,8 @@ class SyntheticSource : public TransactionSource {
 /// replica-side state).
 class NullResponseSink : public ResponseSink {
  public:
-  void OnBlockResponse(ReplicaId, const BlockPtr&, const std::vector<uint64_t>&,
-                       bool, SimTime) override {}
+  void OnBlockResponse(ReplicaId, const BlockPtr&, const TxnResults&, bool,
+                       SimTime) override {}
 };
 
 }  // namespace hotstuff1

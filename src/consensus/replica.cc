@@ -10,7 +10,7 @@ namespace hotstuff1 {
 ReplicaBase::ReplicaBase(ReplicaId id, const ConsensusConfig& config,
                          sim::Network* net, const KeyRegistry* registry,
                          TransactionSource* source, ResponseSink* sink,
-                         KvState initial_state)
+                         ExecTree* tree)
     : id_(id),
       config_(config),
       auth_model_(config.auth_model()),
@@ -19,7 +19,7 @@ ReplicaBase::ReplicaBase(ReplicaId id, const ConsensusConfig& config,
       signer_(registry, id),
       source_(source),
       sink_(sink),
-      ledger_(&store_, std::move(initial_state)),
+      ledger_(&store_, tree),
       pacemaker_(
           net->simulator(), registry, Signer(registry, id), config.n, config.f,
           config.view_timer, config.delta,
@@ -209,8 +209,7 @@ std::vector<Transaction> ReplicaBase::DrawBatch() {
   return source_->DrawBatch(id_, config_.batch_size, Now());
 }
 
-void ReplicaBase::RespondToClients(const BlockPtr& block,
-                                   const std::vector<uint64_t>& results,
+void ReplicaBase::RespondToClients(const BlockPtr& block, const TxnResults& results,
                                    bool speculative) {
   if (crashed_ || block->txns().empty()) return;
   if (oracle_ && speculative) oracle_->OnSpeculativeResponse(id_, block);

@@ -28,7 +28,7 @@ class ReplicaBase {
  public:
   ReplicaBase(ReplicaId id, const ConsensusConfig& config, sim::Network* net,
               const KeyRegistry* registry, TransactionSource* source,
-              ResponseSink* sink, KvState initial_state);
+              ResponseSink* sink, ExecTree* tree);
   virtual ~ReplicaBase() = default;
 
   ReplicaBase(const ReplicaBase&) = delete;
@@ -92,7 +92,7 @@ class ReplicaBase {
 
   // --- clients ---------------------------------------------------------------
   std::vector<Transaction> DrawBatch();
-  void RespondToClients(const BlockPtr& block, const std::vector<uint64_t>& results,
+  void RespondToClients(const BlockPtr& block, const TxnResults& results,
                         bool speculative);
   /// Sends committed responses for freshly committed blocks that were not
   /// already answered speculatively, and charges execution CPU.

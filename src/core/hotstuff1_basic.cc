@@ -12,8 +12,8 @@ HotStuff1BasicReplica::HotStuff1BasicReplica(ReplicaId id,
                                              const KeyRegistry* registry,
                                              TransactionSource* source,
                                              ResponseSink* sink,
-                                             KvState initial_state)
-    : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
+                                             ExecTree* tree)
+    : ReplicaBase(id, config, net, registry, source, sink, tree),
       high_prepare_(Certificate::Genesis()) {
   policy_.enabled = config.speculation_enabled;
   policy_.prefix_rule = config.enforce_prefix_rule;

@@ -29,7 +29,7 @@ class HotStuff1BasicReplica : public ReplicaBase {
   HotStuff1BasicReplica(ReplicaId id, const ConsensusConfig& config,
                         sim::Network* net, const KeyRegistry* registry,
                         TransactionSource* source, ResponseSink* sink,
-                        KvState initial_state);
+                        ExecTree* tree);
 
   const char* Name() const override { return "HotStuff-1 (basic)"; }
 

@@ -11,8 +11,8 @@ namespace hotstuff1 {
 HotStuff1SlottedReplica::HotStuff1SlottedReplica(
     ReplicaId id, const ConsensusConfig& config, sim::Network* net,
     const KeyRegistry* registry, TransactionSource* source, ResponseSink* sink,
-    KvState initial_state)
-    : ReplicaBase(id, config, net, registry, source, sink, std::move(initial_state)),
+    ExecTree* tree)
+    : ReplicaBase(id, config, net, registry, source, sink, tree),
       high_cert_(Certificate::Genesis()),
       high_voted_hash_(Block::Genesis()->hash()),
       distrusted_(config.n, false) {

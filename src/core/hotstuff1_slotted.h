@@ -37,7 +37,7 @@ class HotStuff1SlottedReplica : public ReplicaBase {
   HotStuff1SlottedReplica(ReplicaId id, const ConsensusConfig& config,
                           sim::Network* net, const KeyRegistry* registry,
                           TransactionSource* source, ResponseSink* sink,
-                          KvState initial_state);
+                          ExecTree* tree);
 
   const char* Name() const override { return "HotStuff-1 (slotting)"; }
 

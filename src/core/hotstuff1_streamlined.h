@@ -18,9 +18,8 @@ class HotStuff1StreamlinedReplica : public ChainedReplica {
   HotStuff1StreamlinedReplica(ReplicaId id, const ConsensusConfig& config,
                               sim::Network* net, const KeyRegistry* registry,
                               TransactionSource* source, ResponseSink* sink,
-                              KvState initial_state)
-      : ChainedReplica(id, config, net, registry, source, sink,
-                       std::move(initial_state)) {
+                              ExecTree* tree)
+      : ChainedReplica(id, config, net, registry, source, sink, tree) {
     policy_.enabled = config.speculation_enabled;
     policy_.prefix_rule = config.enforce_prefix_rule;
     policy_.no_gap_rule = config.enforce_no_gap_rule;

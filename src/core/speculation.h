@@ -24,7 +24,7 @@ struct SpeculationPolicy {
 
 struct SpeculatedBlock {
   BlockPtr block;
-  std::vector<uint64_t> results;
+  TxnResults results;
 };
 
 struct SpeculationOutcome {

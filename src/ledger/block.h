@@ -57,6 +57,11 @@ struct BlockId {
 class Block;
 using BlockPtr = std::shared_ptr<const Block>;
 
+/// Per-transaction results of one block, positionally aligned with
+/// block->txns(). Immutable: every replica that executed the block shares
+/// one copy (ledger/exec_tree.h).
+using TxnResults = std::shared_ptr<const std::vector<uint64_t>>;
+
 /// \brief Immutable block of client transactions.
 class Block {
  public:

@@ -11,10 +11,11 @@
 
 namespace hotstuff1 {
 
-/// Every replica executes every block, so this map sits on the simulator's
-/// hottest host path. It is a flat open-addressing table: linear probing over
-/// 16-byte {key, value} slots, a power-of-two capacity kept at load <= 3/4
-/// and grown (doubled) from the real population, and backward-shift erase so
+/// The run's shared execution tree (ledger/exec_tree.h) applies every block
+/// through one of these, so it sits on the simulator's hottest host path.
+/// It is a flat open-addressing table: linear probing over 16-byte
+/// {key, value} slots, a power-of-two capacity kept at load <= 3/4 and grown
+/// (doubled) from the real population, and backward-shift erase so
 /// rollback-heavy runs never accumulate tombstones. The key that marks an
 /// empty slot is a legal key too; its entry lives out of line.
 class KvState {

@@ -6,8 +6,8 @@
 
 namespace hotstuff1 {
 
-Ledger::Ledger(const BlockStore* store, KvState initial_state)
-    : store_(store), state_(std::move(initial_state)), committed_tip_(store->genesis()) {
+Ledger::Ledger(const BlockStore* store, ExecTree* tree)
+    : store_(store), tree_(tree), committed_tip_(store->genesis()) {
   committed_chain_.push_back(committed_tip_);
 }
 
@@ -27,18 +27,12 @@ bool Ledger::IsSpeculated(const Hash256& hash) const {
                      [&](const SpecEntry& e) { return e.block->hash() == hash; });
 }
 
-const std::vector<uint64_t>& Ledger::Speculate(const BlockPtr& block) {
+TxnResults Ledger::Speculate(const BlockPtr& block) {
   HS1_CHECK(block->parent_hash() == spec_tip()->hash())
       << "speculation must extend the local-ledger tip: block "
       << block->ToString() << " does not extend " << spec_tip()->ToString();
-  SpecEntry entry;
-  entry.block = block;
-  entry.results.reserve(block->txns().size());
-  for (const Transaction& txn : block->txns()) {
-    entry.results.push_back(state_.ApplyTxn(txn, &entry.undo));
-  }
+  spec_stack_.push_back(SpecEntry{block, tree_->Execute(block)});
   txns_speculated_ += block->txns().size();
-  spec_stack_.push_back(std::move(entry));
   return spec_stack_.back().results;
 }
 
@@ -46,7 +40,6 @@ size_t Ledger::RollbackTo(const Hash256& ancestor_hash) {
   if (spec_tip()->hash() == ancestor_hash) return 0;
   size_t count = 0;
   while (!spec_stack_.empty() && spec_stack_.back().block->hash() != ancestor_hash) {
-    state_.Undo(spec_stack_.back().undo);
     spec_stack_.pop_back();
     ++count;
   }
@@ -108,10 +101,7 @@ std::vector<ExecResult> Ledger::CommitChain(const BlockPtr& target) {
       res.txn_results = std::move(spec_stack_[i].results);
       res.was_speculated = true;
     } else {
-      res.txn_results.reserve(path[i]->txns().size());
-      for (const Transaction& txn : path[i]->txns()) {
-        res.txn_results.push_back(state_.ApplyTxn(txn, nullptr));
-      }
+      res.txn_results = tree_->Execute(path[i]);
     }
     txns_committed_ += path[i]->txns().size();
     committed_chain_.push_back(path[i]);

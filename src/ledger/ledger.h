@@ -1,12 +1,13 @@
 // The dual ledger of §3/§4: a committed global-ledger plus a speculative
-// local-ledger implemented as an undo-logged overlay on one KvState.
+// local-ledger. Execution is delegated to an ExecTree shared by every
+// replica of a run, so the ledger holds chains of blocks, not state.
 //
 // Invariants:
 //  * state() always equals: committed chain effects + speculative stack
-//    effects, applied in chain order.
+//    effects, applied in chain order (the tree's post-state of spec_tip()).
 //  * the speculative stack is a single path extending the committed tip.
-//  * Rollback (Def. 4.7) pops the stack down to a common ancestor, restoring
-//    state byte-for-byte; the global ledger is never rolled back.
+//  * Rollback (Def. 4.7) pops the stack down to a common ancestor; the
+//    global ledger is never rolled back.
 
 #ifndef HOTSTUFF1_LEDGER_LEDGER_H_
 #define HOTSTUFF1_LEDGER_LEDGER_H_
@@ -16,6 +17,7 @@
 
 #include "ledger/block.h"
 #include "ledger/block_store.h"
+#include "ledger/exec_tree.h"
 #include "ledger/kv_state.h"
 
 namespace hotstuff1 {
@@ -24,7 +26,7 @@ namespace hotstuff1 {
 struct ExecResult {
   BlockPtr block;
   /// One result per transaction, positionally aligned with block->txns().
-  std::vector<uint64_t> txn_results;
+  TxnResults txn_results;
   /// True if the block had already been speculatively executed (so the
   /// replica already sent speculative responses for it).
   bool was_speculated = false;
@@ -33,8 +35,9 @@ struct ExecResult {
 class Ledger {
  public:
   /// `store` must outlive the ledger and contain every block passed in.
-  /// `initial_state` is the pre-loaded application database.
-  Ledger(const BlockStore* store, KvState initial_state);
+  /// `tree` executes the blocks; it must outlive the ledger and may be
+  /// shared with other ledgers of the same run.
+  Ledger(const BlockStore* store, ExecTree* tree);
 
   // --- committed (global) ledger --------------------------------------------
   const BlockPtr& committed_tip() const { return committed_tip_; }
@@ -54,7 +57,7 @@ class Ledger {
   /// per-transaction results. The caller (protocol) is responsible for the
   /// Prefix-Speculation and No-Gap rules; the ledger enforces only chain
   /// shape.
-  const std::vector<uint64_t>& Speculate(const BlockPtr& block);
+  TxnResults Speculate(const BlockPtr& block);
 
   /// Rolls the local ledger back so that spec_tip() has hash
   /// `ancestor_hash`; the ancestor must be on the speculative stack or be
@@ -67,8 +70,10 @@ class Ledger {
   /// executed directly. All blocks on the path must be in the store.
   std::vector<ExecResult> CommitChain(const BlockPtr& target);
 
-  const KvState& state() const { return state_; }
-  KvState& mutable_state() { return state_; }
+  /// The tree's table moved to spec_tip(). Shared with every ledger on the
+  /// tree: valid until the next execution on it, so read it after the run
+  /// or on a single thread.
+  const KvState& state() const { return tree_->StateAt(spec_tip()); }
 
   // --- stats -----------------------------------------------------------------
   uint64_t rollback_events() const { return rollback_events_; }
@@ -79,12 +84,11 @@ class Ledger {
  private:
   struct SpecEntry {
     BlockPtr block;
-    KvState::UndoLog undo;
-    std::vector<uint64_t> results;
+    TxnResults results;
   };
 
   const BlockStore* store_;
-  KvState state_;
+  ExecTree* tree_;
   BlockPtr committed_tip_;
   std::vector<BlockPtr> committed_chain_;
   std::vector<SpecEntry> spec_stack_;

@@ -58,28 +58,24 @@ Experiment::~Experiment() = default;
 
 std::unique_ptr<ReplicaBase> Experiment::MakeReplica(ReplicaId id,
                                                      const ConsensusConfig& cc,
-                                                     KvState state) {
+                                                     ExecTree* tree) {
   switch (config_.protocol) {
     case ProtocolKind::kHotStuff:
       return std::make_unique<HotStuffReplica>(id, cc, net_.get(), registry_.get(),
-                                               clients_.get(), clients_.get(),
-                                               std::move(state));
+                                               clients_.get(), clients_.get(), tree);
     case ProtocolKind::kHotStuff2:
       return std::make_unique<HotStuff2Replica>(id, cc, net_.get(), registry_.get(),
-                                                clients_.get(), clients_.get(),
-                                                std::move(state));
+                                                clients_.get(), clients_.get(), tree);
     case ProtocolKind::kHotStuff1Basic:
       return std::make_unique<HotStuff1BasicReplica>(id, cc, net_.get(),
                                                      registry_.get(), clients_.get(),
-                                                     clients_.get(), std::move(state));
+                                                     clients_.get(), tree);
     case ProtocolKind::kHotStuff1:
       return std::make_unique<HotStuff1StreamlinedReplica>(
-          id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(),
-          std::move(state));
+          id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(), tree);
     case ProtocolKind::kHotStuff1Slotted:
       return std::make_unique<HotStuff1SlottedReplica>(
-          id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(),
-          std::move(state));
+          id, cc, net_.get(), registry_.get(), clients_.get(), clients_.get(), tree);
   }
   return nullptr;
 }
@@ -346,9 +342,9 @@ void Experiment::Setup() {
 
   replicas_.reserve(n);
   for (ReplicaId id = 0; id < n; ++id) {
-    // Starts empty: absent keys read as zero, and the table grows with the
-    // keys the run actually writes.
-    replicas_.push_back(MakeReplica(id, cc, KvState()));
+    // One tree executes each block once for every replica; its table starts
+    // empty (absent keys read as zero) and grows with the keys the run writes.
+    replicas_.push_back(MakeReplica(id, cc, &exec_tree_));
     replicas_.back()->SetOracle(oracle_.get());
     replicas_.back()->SetLivenessOracle(liveness_.get());
     const AdversarySpec spec = plan_.SpecFor(id);

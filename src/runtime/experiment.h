@@ -241,7 +241,7 @@ class Experiment {
 
  private:
   std::unique_ptr<ReplicaBase> MakeReplica(ReplicaId id, const ConsensusConfig& cc,
-                                           KvState state);
+                                           ExecTree* tree);
 
   ExperimentConfig config_;
   bool setup_done_ = false;
@@ -255,6 +255,7 @@ class Experiment {
   bool cap_parallelism_degraded_ = false;
   std::shared_ptr<const CommitteeSchedule> committee_;  // resolved; null = static
   AdversaryPlan plan_;
+  ExecTree exec_tree_;  // shared by every replica's ledger; outlives them
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;
 };
 

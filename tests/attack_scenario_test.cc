@@ -31,10 +31,10 @@ namespace {
 class PrefixDilemmaTest : public ::testing::Test {
  protected:
   PrefixDilemmaTest()
-      : ledger_a_(&store_, KvState()),
-        ledger_a2_(&store_, KvState()),
-        ledger_star_(&store_, KvState()),
-        scratch_(&store_, KvState()) {
+      : ledger_a_(&store_, &tree_),
+        ledger_a2_(&store_, &tree_),
+        ledger_star_(&store_, &tree_),
+        scratch_(&store_, &tree_) {
     ClientPoolConfig cp;
     cp.num_clients = 1;
     cp.quorum_commit = 2;       // f+1
@@ -61,8 +61,7 @@ class PrefixDilemmaTest : public ::testing::Test {
     return b;
   }
 
-  void RespondFor(ReplicaId replica, const BlockPtr& block,
-                  const std::vector<uint64_t>& results) {
+  void RespondFor(ReplicaId replica, const BlockPtr& block, const TxnResults& results) {
     pool_->OnBlockResponse(replica, block, results, /*speculative=*/true,
                            sim_.Now());
     sim_.RunUntil(sim_.Now() + 10);
@@ -71,6 +70,9 @@ class PrefixDilemmaTest : public ::testing::Test {
   sim::Simulator sim_;
   YcsbWorkload workload_;
   BlockStore store_;
+  // One tree for all four ledgers, as in a run: the rollback-attack steps
+  // below move its cursor between the sibling branches.
+  ExecTree tree_;
   Ledger ledger_a_, ledger_a2_, ledger_star_, scratch_;
   std::unique_ptr<ClientPool> pool_;
   Transaction txn_;

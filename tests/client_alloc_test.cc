@@ -75,7 +75,8 @@ struct Pump {
       auto block = std::make_shared<Block>(BlockId{(*view)++, 1},
                                            Block::Genesis()->hash(), 1, 0,
                                            std::move(txns));
-      const std::vector<uint64_t> results(block->txns().size(), 7);
+      const auto results =
+          std::make_shared<const std::vector<uint64_t>>(block->txns().size(), 7);
       pool->OnBlockResponse(0, block, results, /*speculative=*/false, sim->Now());
       pool->OnBlockResponse(1, block, results, /*speculative=*/false, sim->Now());
     }

@@ -41,7 +41,8 @@ class ClientPoolTest : public ::testing::Test {
   /// Delivers matching responses from `replicas` and runs the simulator.
   void Respond(const BlockPtr& block, std::initializer_list<ReplicaId> replicas,
                bool speculative, uint64_t result = 99) {
-    const std::vector<uint64_t> results(block->txns().size(), result);
+    const auto results =
+        std::make_shared<const std::vector<uint64_t>>(block->txns().size(), result);
     for (ReplicaId r : replicas) {
       pool_->OnBlockResponse(r, block, results, speculative, sim_.Now());
     }
@@ -71,7 +72,8 @@ TEST_F(ClientPoolTest, FreshSubmissionsNotVisibleInstantly) {
   const BlockPtr block = MakeBlock(std::move(all));
   // Deliver f+1 committed responses; acceptance happens after the 1ms
   // response hop, at which point each client submits a fresh transaction.
-  const std::vector<uint64_t> results(block->txns().size(), 99);
+  const auto results =
+      std::make_shared<const std::vector<uint64_t>>(block->txns().size(), 99);
   pool_->OnBlockResponse(0, block, results, false, sim_.Now());
   pool_->OnBlockResponse(1, block, results, false, sim_.Now());
   sim_.RunUntil(sim_.Now() + Millis(1) + 10);

@@ -32,7 +32,8 @@ class ClientShardTest : public ::testing::Test {
 
   void Respond(const BlockPtr& block, std::initializer_list<ReplicaId> replicas,
                bool speculative, uint64_t result = 99) {
-    const std::vector<uint64_t> results(block->txns().size(), result);
+    const auto results =
+        std::make_shared<const std::vector<uint64_t>>(block->txns().size(), result);
     for (ReplicaId r : replicas) {
       pool_->OnBlockResponse(r, block, results, speculative, sim_.Now());
     }

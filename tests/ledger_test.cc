@@ -280,7 +280,7 @@ TEST(KvStateTest, SentinelKeyIsAnOrdinaryKey) {
 
 class LedgerTest : public ::testing::Test {
  protected:
-  LedgerTest() : ledger_(&store_, KvState()) {}
+  LedgerTest() : ledger_(&store_, &tree_) {}
 
   BlockPtr Chain(uint64_t view, const BlockPtr& parent, uint64_t key,
                  uint64_t value) {
@@ -290,6 +290,7 @@ class LedgerTest : public ::testing::Test {
   }
 
   BlockStore store_;
+  ExecTree tree_;
   Ledger ledger_;
 };
 
@@ -302,16 +303,16 @@ TEST_F(LedgerTest, StartsAtGenesis) {
 TEST_F(LedgerTest, SpeculateThenCommitPromotesWithoutReexecution) {
   const BlockPtr a = Chain(1, store_.genesis(), 1, 10);
   const auto results = ledger_.Speculate(a);
-  ASSERT_EQ(results.size(), 1u);
+  ASSERT_EQ(results->size(), 1u);
   EXPECT_EQ(ledger_.state().Get(1), 10u);
   EXPECT_TRUE(ledger_.IsSpeculated(a->hash()));
   EXPECT_EQ(ledger_.spec_depth(), 1u);
 
-  const uint64_t result_spec = results[0];
+  const uint64_t result_spec = (*results)[0];
   auto committed = ledger_.CommitChain(a);
   ASSERT_EQ(committed.size(), 1u);
   EXPECT_TRUE(committed[0].was_speculated);
-  EXPECT_EQ(committed[0].txn_results[0], result_spec);
+  EXPECT_EQ((*committed[0].txn_results)[0], result_spec);
   EXPECT_EQ(ledger_.committed_height(), 1u);
   EXPECT_EQ(ledger_.spec_depth(), 0u);
   EXPECT_TRUE(ledger_.IsCommitted(a->hash()));
@@ -388,17 +389,19 @@ TEST_F(LedgerTest, CommitChainIsIdempotent) {
 
 TEST_F(LedgerTest, SpeculationResultsMatchCommitResults) {
   // Two ledgers over the same chain: one speculates then commits, the other
-  // commits directly; per-txn results must agree (clients match on them).
+  // commits directly on a private tree; per-txn results must agree (clients
+  // match on them).
   const BlockPtr a = Chain(1, store_.genesis(), 1, 5);
   const BlockPtr b = Chain(2, a, 1, 6);
-  Ledger direct(&store_, KvState());
+  ExecTree direct_tree;
+  Ledger direct(&store_, &direct_tree);
   ledger_.Speculate(a);
   ledger_.Speculate(b);
   auto via_spec = ledger_.CommitChain(b);
   auto via_direct = direct.CommitChain(b);
   ASSERT_EQ(via_spec.size(), via_direct.size());
   for (size_t i = 0; i < via_spec.size(); ++i) {
-    EXPECT_EQ(via_spec[i].txn_results, via_direct[i].txn_results);
+    EXPECT_EQ(*via_spec[i].txn_results, *via_direct[i].txn_results);
   }
   EXPECT_EQ(ledger_.state().Fingerprint(), direct.state().Fingerprint());
 }

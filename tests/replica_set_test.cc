@@ -145,7 +145,8 @@ class WidePoolTest : public ::testing::Test {
   }
 
   void Respond(const BlockPtr& block, std::initializer_list<ReplicaId> replicas) {
-    const std::vector<uint64_t> results(block->txns().size(), 99);
+    const auto results =
+        std::make_shared<const std::vector<uint64_t>>(block->txns().size(), 99);
     for (ReplicaId r : replicas) {
       pool_->OnBlockResponse(r, block, results, /*speculative=*/false, sim_.Now());
     }

@@ -105,6 +105,29 @@ TEST_P(SafetySweep, SafetyAndClientSafetyHold) {
       EXPECT_EQ(kv.Fingerprint(), reference_fp) << "replica " << id;
     }
   }
+
+  // Shared execution against independent execution. Every ledger reads its
+  // state from the run's one execution tree, so agreement across replicas
+  // cannot catch an executor bug: re-execute each correct replica's local
+  // ledger (genesis -> spec tip, parents from its own store) from a fresh
+  // table instead.
+  for (uint32_t id = 0; id < cfg.n; ++id) {
+    if (id >= 1 && id <= cfg.num_faulty && fault != Fault::kNone) continue;
+    const ReplicaBase& replica = *exp.replicas()[id];
+    std::vector<BlockPtr> path;
+    BlockPtr b = replica.ledger().spec_tip();
+    while (!b->IsGenesis()) {
+      path.push_back(b);
+      b = replica.store().GetOrNull(b->parent_hash());
+      ASSERT_NE(b, nullptr) << "replica " << id << " lacks an ancestor of its spec tip";
+    }
+    KvState kv;
+    for (auto it = path.rbegin(); it != path.rend(); ++it) {
+      for (const Transaction& t : (*it)->txns()) kv.ApplyTxn(t, nullptr);
+    }
+    EXPECT_EQ(kv.Fingerprint(), replica.ledger().state().Fingerprint())
+        << "replica " << id << " at spec tip " << replica.ledger().spec_tip()->ToString();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -18,7 +18,7 @@ Transaction WriteTxn(uint64_t id, uint64_t key, uint64_t value) {
 
 class SpeculationTest : public ::testing::Test {
  protected:
-  SpeculationTest() : ledger_(&store_, KvState()) {}
+  SpeculationTest() : ledger_(&store_, &tree_) {}
 
   BlockPtr Make(uint64_t view, const BlockPtr& parent, uint64_t key,
                 uint64_t value, uint32_t slot = 1, Hash256 carry = {}) {
@@ -31,6 +31,7 @@ class SpeculationTest : public ::testing::Test {
   }
 
   BlockStore store_;
+  ExecTree tree_;
   Ledger ledger_;
   SpeculationPolicy policy_;  // all rules on by default
 };
@@ -41,7 +42,7 @@ TEST_F(SpeculationTest, SpeculatesWhenRulesHold) {
   EXPECT_TRUE(out.speculated);
   ASSERT_EQ(out.executed.size(), 1u);
   EXPECT_EQ(out.executed[0].block->hash(), a->hash());
-  ASSERT_EQ(out.executed[0].results.size(), 1u);
+  ASSERT_EQ(out.executed[0].results->size(), 1u);
   EXPECT_TRUE(ledger_.IsSpeculated(a->hash()));
 }
 
